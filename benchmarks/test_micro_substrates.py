@@ -17,11 +17,13 @@ from repro.dedup.pipeline import IngestPipeline
 from repro.hashing.bloom import BloomFilter
 from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
 from repro.simio.disk import DiskModel
 from repro.storage.store import ContainerStore
 from repro.util.rng import DeterministicRng
+
+from tests.reference import cluster_chunks, columnar_recipe
 
 
 def test_fastcdc_throughput(benchmark):
@@ -51,10 +53,13 @@ def test_ingest_pipeline_rate(benchmark):
     ]
 
     def ingest_once():
+        recipes = RecipeStore()
         pipeline = IngestPipeline(
-            store=ContainerStore(capacity=128 * 1024, disk=DiskModel()),
+            store=ContainerStore(
+                capacity=128 * 1024, disk=DiskModel(), interner=recipes.interner
+            ),
             index=FingerprintIndex(),
-            recipes=RecipeStore(),
+            recipes=recipes,
         )
         return pipeline.ingest(stream)
 
@@ -74,9 +79,8 @@ def _clustering_world(num_backups=20, num_chunks=5000):
         start = rng.randint(0, num_chunks // 2)
         length = rng.randint(num_chunks // 4, num_chunks // 2)
         recipes.add(
-            Recipe(
-                backup_id=backup_id,
-                entries=tuple(chunks[start : start + length]),
+            columnar_recipe(
+                backup_id, chunks[start : start + length], recipes.interner
             )
         )
     return recipes, chunks, tuple(range(num_backups))
@@ -88,7 +92,7 @@ def test_analyzer_clustering_rate(benchmark):
 
     def cluster_once():
         analyzer = Analyzer(ReferenceChecker(recipes, config), config)
-        return analyzer.cluster(chunks, involved)
+        return cluster_chunks(analyzer, chunks, involved)
 
     clusters = benchmark(cluster_once)
     assert sum(c.num_chunks for c in clusters) == len(chunks)

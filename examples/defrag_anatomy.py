@@ -86,7 +86,9 @@ def main() -> None:
     checker = ReferenceChecker(service.recipes, service.config.gccdf)
     analyzer = Analyzer(checker, service.config.gccdf)
     for segment in Preprocessor(ctx).segments():
-        clusters = analyzer.cluster(segment.valid_chunks, segment.involved_backups)
+        clusters = analyzer.cluster(
+            segment.valid_chunks, segment.involved_backups, segment.valid_ids
+        )
         print(f"segment {segment.index}: involved backups {list(segment.involved_backups)}")
         for cluster in clusters:
             ids = [c.fp[:20] for c in cluster.chunks]

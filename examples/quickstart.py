@@ -39,7 +39,7 @@ def main() -> None:
             f"new data {format_bytes(result.stored_bytes)}, "
             f"deduped {format_bytes(result.dedup_bytes)}"
         )
-    print(f"dedup ratio so far: {service.dedup_ratio:.2f}\n")
+    print(f"dedup ratio so far: {service.stats().dedup_ratio:.2f}\n")
 
     # Rotate out the two oldest backups and garbage-collect.  GCCDF rides
     # the sweep: valid chunks are re-clustered by ownership as they move.

@@ -32,8 +32,7 @@ ChunkStream = Iterable[Union[Chunk, ChunkRef]]
 class ServiceStats:
     """A service's whole-run space accounting, in one immutable snapshot.
 
-    Returned by :meth:`BackupService.stats`; the individual properties on
-    the service are deprecated shims over this.
+    Returned by :meth:`BackupService.stats`.
     """
 
     #: Total pre-dedup bytes ingested over the service's lifetime.
@@ -105,30 +104,6 @@ class BackupService(ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support read serving"
         )
-
-    # ------------------------------------------------------------------
-    # Deprecated accounting shims (use :meth:`stats` instead).
-    # ------------------------------------------------------------------
-
-    @property
-    def cumulative_logical_bytes(self) -> int:
-        """Deprecated: read ``stats().cumulative_logical_bytes``."""
-        return self.stats().cumulative_logical_bytes
-
-    @property
-    def cumulative_stored_bytes(self) -> int:
-        """Deprecated: read ``stats().cumulative_stored_bytes``."""
-        return self.stats().cumulative_stored_bytes
-
-    @property
-    def physical_bytes(self) -> int:
-        """Deprecated: read ``stats().physical_bytes``."""
-        return self.stats().physical_bytes
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Deprecated: read ``stats().dedup_ratio``."""
-        return self.stats().dedup_ratio
 
     def delete_oldest(self, count: int) -> list[int]:
         """Logically delete the ``count`` oldest live backups (§6.1 rotation);

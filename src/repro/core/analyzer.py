@@ -69,9 +69,8 @@ class ReferenceChecker:
             fp_rate=self.config.bloom_fp_rate,
             salt=b"recipe" + backup_id.to_bytes(8, "big"),
         )
-        # fingerprints() resolves columnar recipes through the interner's
-        # flat id → key table; same keys, same order, on either
-        # representation (filter bits are therefore identical too).
+        # fingerprints() resolves the id column through the interner's
+        # flat id → key table, in stream order.
         bloom.update(recipe.fingerprints())
         return bloom.__contains__
 
@@ -83,8 +82,8 @@ class ReferenceChecker:
             self._filters[backup_id] = predicate
         return predicate
 
-    def exact_ids(self, backup_id: int) -> frozenset[int] | None:
-        """The recipe's exact interned-id member set (columnar recipes only).
+    def exact_ids(self, backup_id: int) -> frozenset[int]:
+        """The recipe's exact interned-id member set.
 
         This is the Analyzer's id-level fast path: an id in this set is a
         *proven* recipe member, so the Bloom predicate — which has no false
@@ -92,13 +91,11 @@ class ReferenceChecker:
         outside it still probe the real filter, reproducing the filter's
         false positives bit-for-bit (clustering, and therefore layout, must
         not depend on which kernel ran).  The set is the recipe's cached
-        ``unique_ids()`` — already materialised by the columnar mark — so
-        consulting it costs no build work and is deliberately not counted
-        in ``build_ops``.
+        ``unique_ids()`` — already materialised by the mark — so consulting
+        it costs no build work and is deliberately not counted in
+        ``build_ops``.
         """
-        recipe = self.recipes.get(backup_id)
-        unique_ids = getattr(recipe, "unique_ids", None)
-        return unique_ids() if unique_ids is not None else None
+        return self.recipes.get(backup_id).unique_ids()
 
 
 @dataclass
@@ -106,8 +103,8 @@ class _LeafNode:
     """A leaf of the ownership tree (optimization ④: linked, refs only)."""
 
     chunks: list[ChunkRef]
-    #: Interned ids aligned with ``chunks`` (columnar runs only).
-    ids: list[int] | None = None
+    #: Interned ids aligned with ``chunks``.
+    ids: list[int]
     #: Backups (ascending id) confirmed to reference every chunk here.
     owners: list[int] = field(default_factory=list)
     denied: bool = False
@@ -140,20 +137,17 @@ class Analyzer:
         self,
         valid_chunks: list[ChunkRef],
         involved_backups: tuple[int, ...],
-        valid_ids: list[int] | None = None,
+        valid_ids: list[int],
     ) -> list[Cluster]:
         """Run the round-based splitting; returns clusters in tree order.
 
-        ``valid_ids`` (interned ids aligned with ``valid_chunks``, columnar
-        services only) switches the per-leaf reference check to the fused
-        id-level kernel: a C-level hit against the recipe's exact id set
-        proves membership — the Bloom predicate has no false negatives, so
-        its answer is already known — and only the non-member minority
-        probes the real filter (one fused pass, reproducing Bloom false
-        positives exactly).  Probe accounting is unchanged — ``probes``
-        counts chunk classifications, not digest computations, on both
-        kernels — so ``analyze_ops`` and the ``gc.segment`` trace are
-        identical either way.
+        ``valid_ids`` are the interned ids aligned with ``valid_chunks``.
+        The per-leaf reference check is an id-level kernel: a C-level hit
+        against the recipe's exact id set proves membership — the Bloom
+        predicate has no false negatives, so its answer is already known —
+        and only the non-member minority probes the real filter (one fused
+        pass, reproducing Bloom false positives exactly).  ``probes``
+        counts chunk classifications, not digest computations.
         """
         if not valid_chunks:
             self.last_leaf_count = 0
@@ -161,21 +155,16 @@ class Analyzer:
             self.last_chunk_count = 0
             return []
 
-        head = _LeafNode(
-            chunks=list(valid_chunks),
-            ids=list(valid_ids) if valid_ids is not None else None,
-        )
+        head = _LeafNode(chunks=list(valid_chunks), ids=list(valid_ids))
         threshold = self.config.split_denial_threshold
         exact_config = self.config.exact_reference_check
-        keys = (
-            self.checker.recipes.interner.keys() if valid_ids is not None else None
-        )
+        keys = self.checker.recipes.interner.keys()
         probes = 0
 
         # Optimization ②: most recent backup first.
         for backup_id in sorted(involved_backups, reverse=True):
             predicate = self.checker.membership(backup_id)
-            exact = self.checker.exact_ids(backup_id) if valid_ids is not None else None
+            exact = self.checker.exact_ids(backup_id)
             node: _LeafNode | None = head
             while node is not None:
                 successor = node.next
@@ -186,30 +175,26 @@ class Analyzer:
                     continue
                 probes += len(node.chunks)
                 node_ids = node.ids
-                if node_ids is not None and exact is not None:
-                    if exact_config:
-                        # Exact-check config: the predicate *is* recipe
-                        # membership, which the id set answers outright.
-                        flags = [chunk_id in exact for chunk_id in node_ids]
-                    else:
-                        flags = [
-                            chunk_id in exact or predicate(keys[chunk_id])
-                            for chunk_id in node_ids
-                        ]
-                    referenced = list(compress(node.chunks, flags))
-                    if len(referenced) == len(node.chunks):
-                        unreferenced: list[ChunkRef] = []
-                    elif not referenced:
-                        unreferenced = node.chunks
-                    else:
-                        inverse = list(map(not_, flags))
-                        unreferenced = list(compress(node.chunks, inverse))
-                        right_ids = list(compress(node_ids, inverse))
-                        node.ids = list(compress(node_ids, flags))
+                if exact_config:
+                    # Exact-check config: the predicate *is* recipe
+                    # membership, which the id set answers outright.
+                    flags = [chunk_id in exact for chunk_id in node_ids]
                 else:
-                    referenced = [c for c in node.chunks if predicate(c.fp)]
-                    unreferenced = [c for c in node.chunks if not predicate(c.fp)]
-                    right_ids = None
+                    flags = [
+                        chunk_id in exact or predicate(keys[chunk_id])
+                        for chunk_id in node_ids
+                    ]
+                referenced = list(compress(node.chunks, flags))
+                right_ids: list[int] = []
+                if len(referenced) == len(node.chunks):
+                    unreferenced: list[ChunkRef] = []
+                elif not referenced:
+                    unreferenced = node.chunks
+                else:
+                    inverse = list(map(not_, flags))
+                    unreferenced = list(compress(node.chunks, inverse))
+                    right_ids = list(compress(node_ids, inverse))
+                    node.ids = list(compress(node_ids, flags))
                 if referenced and unreferenced:
                     # Split: referenced chunks stay in `node` (left child),
                     # the rest move to a new right sibling.

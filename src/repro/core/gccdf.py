@@ -13,14 +13,13 @@ the next instead of sealing underfilled containers at every segment
 boundary.  This strictly reduces produced containers and matches the paper's
 "fill [clusters] sequentially into the containers" description.
 
-On the columnar path the sweep-write drains each segment as one batched
-column (the planner's reordered sequence plus a bulk source lookup against
-the index's placement map) through :meth:`JournaledCopyForward
-.migrate_batch`; payload-carrying segments and legacy services keep the
-per-chunk loop.  Reclaim data comes from the preprocessing-time partitions
-the segments already carry — validity is stable within a drained round, so
-re-partitioning every container a second time here would recompute the same
-answer.
+Payload-free segments drain the sweep-write as one batched column (the
+planner's reordered sequence plus a bulk source lookup against the index's
+placement map) through :meth:`JournaledCopyForward.migrate_batch`;
+payload-carrying segments keep the per-chunk loop.  Reclaim data comes from
+the preprocessing-time partitions the segments already carry — validity is
+stable within a drained round, so re-partitioning every container a second
+time here would recompute the same answer.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ class GCCDFMigration:
             # destination seals, and every fp belongs to exactly one
             # not-yet-reclaimed source.
             sequence = order.sequence
-            if segment.valid_ids is not None and not segment.payloads:
+            if not segment.payloads:
                 placements = ctx.index.placements_map()
                 copy_forward.migrate_batch(
                     sequence,

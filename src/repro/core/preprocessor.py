@@ -16,14 +16,13 @@ Bridges the GC mark stage and the Analyzer.  Three tasks, as in Fig. 8:
    tells the Analyzer which backups' references matter here.
 
 Each segment also carries the partition by-products downstream consumers
-need anyway: the aligned interned-id column of its valid chunks (columnar
-services only — it feeds the Analyzer's exact-membership fast path) and the
-per-container ``(invalid_keys, invalid_bytes)`` reclaim data.  Validity is
-stable for the duration of one drained GC round — migration relocates index
-entries without removing them, reclaims drop only already-invalid keys, and
-the VC table never changes mid-round — so the sweep reuses these partitions
-at reclaim-scheduling time instead of re-partitioning every container
-twice.
+need anyway: the aligned interned-id column of its valid chunks (it feeds
+the Analyzer's exact-membership fast path) and the per-container
+``(invalid_keys, invalid_bytes)`` reclaim data.  Validity is stable for the
+duration of one drained GC round — migration relocates index entries
+without removing them, reclaims drop only already-invalid keys, and the VC
+table never changes mid-round — so the sweep reuses these partitions at
+reclaim-scheduling time instead of re-partitioning every container twice.
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ class Segment:
     container_ids: list[int]
     #: Valid chunks of the segment, in container scan order.
     valid_chunks: list[ChunkRef] = field(default_factory=list)
-    #: Interned ids aligned with ``valid_chunks`` (``None`` when any of the
-    #: segment's containers lacks a manifest, i.e. on the legacy path).
-    valid_ids: list[int] | None = None
+    #: Interned ids aligned with ``valid_chunks``.
+    valid_ids: list[int] = field(default_factory=list)
     #: storage key → payload bytes, for chunks that carry payloads.
     payloads: dict[bytes, bytes] = field(default_factory=dict)
     #: Live backups referencing any container of this segment, ascending.
@@ -87,13 +85,11 @@ class Preprocessor:
     def segments(self) -> Iterator[Segment]:
         """Yield segments one at a time (the GC cache holds one segment)."""
         work = self.reclaimable_containers()
-        columnar = all(part.valid_ids is not None for _, part in work)
         for seg_index, start in enumerate(range(0, len(work), self.segment_size)):
             batch = work[start : start + self.segment_size]
             segment = Segment(
                 index=seg_index,
                 container_ids=[container_id for container_id, _ in batch],
-                valid_ids=[] if columnar else None,
             )
             owners: set[int] = set()
             for container_id, part in batch:
@@ -108,8 +104,7 @@ class Preprocessor:
                 # its valid chunks in memory.
                 container = self.ctx.store.read_container(container_id)
                 segment.valid_chunks.extend(part.valid)
-                if columnar:
-                    segment.valid_ids.extend(part.valid_ids)
+                segment.valid_ids.extend(part.valid_ids)
                 if container.has_payloads():
                     for entry in part.valid:
                         payload = container.payload(entry.fp)

@@ -46,12 +46,13 @@ def run(scale: str = "quick") -> str:
                 num_backups=spec.num_backups(dataset_name),
             )
         )
+        stats = service.stats()
         table.add_row(
             dataset_name.upper(),
-            format_bytes(service.cumulative_logical_bytes),
+            format_bytes(stats.cumulative_logical_bytes),
             format_bytes(service.migrated_bytes),
             service.migration_fraction,
-            service.dedup_ratio,
+            stats.dedup_ratio,
         )
     return table.render()
 

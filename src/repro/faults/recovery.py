@@ -305,8 +305,12 @@ def recover(store, index, recipes, hybrid=None) -> RecoveryReport:
             ]
             for fp in stale_moves:
                 del state.migrated[fp]
-            # Placements may have been repaired; the probe memo is stale.
+            # Placements may have been repaired; the probe memo and the
+            # GS containers' member sets built from it are stale (the GS
+            # set itself, the member-set keys, stays).
             state.resolved.clear()
+            for members in state.gs_members.values():
+                members.clear()
             if state.phase in ("sweep", "finalize"):
                 # Rewind the sweep frontier: already-reclaimed sources are
                 # gone from the store, everything else re-partitions (the

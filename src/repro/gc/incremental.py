@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from repro.config import SystemConfig
 from repro.dedup.hybrid import HybridState, forced_containers, rededup_slice
 from repro.errors import ConfigError
-from repro.gc.mark import RECIPE_ENTRY_BYTES, MarkResult
+from repro.gc.mark import RECIPE_ENTRY_BYTES, MarkResult, resolve_placements
 from repro.gc.migration import (
     JournaledCopyForward,
     MigrationResult,
@@ -113,14 +113,18 @@ class GCCycleState:
     #: 0 = deleted-recipe pass, 1 = live-recipe pass.
     mark_pass: int = 0
     mark_pos: int = 0
-    candidate_keys: set = field(default_factory=set)
-    gs_set: set = field(default_factory=set)
+    #: Interned ids referenced by the deleted recipes scanned so far.
+    candidate_ids: set = field(default_factory=set)
+    #: GS container id → the probed ids placed in it (the keys are the GS
+    #: set; see :func:`~repro.gc.mark.resolve_placements`).
+    gs_members: dict = field(default_factory=dict)
     rrt_sets: dict = field(default_factory=dict)
-    #: fp → placement memo (one index probe per unique key, as in the
-    #: stop-the-world kernels).  Dropped by recovery: placements may have
-    #: been repaired.
-    resolved: dict = field(default_factory=dict)
-    live_keys: set = field(default_factory=set)
+    #: Interned ids already probed in the index (one probe per unique key,
+    #: as in the stop-the-world kernel).  Recovery empties it together with
+    #: the member sets: placements may have been repaired.
+    resolved: set = field(default_factory=set)
+    #: Interned ids referenced by the live recipes scanned so far.
+    live_chunk_ids: set = field(default_factory=set)
     #: Keys referenced by recipes ingested while the mark was in flight;
     #: folded into the VC table when the mark completes.
     barrier_keys: set = field(default_factory=set)
@@ -272,7 +276,7 @@ class IncrementalGC:
             if state.rededup_queue:
                 state.phase = "rededup"
             else:
-                state.gs_set |= forced_containers(self.hybrid, self.store)
+                _seed_gs(state, forced_containers(self.hybrid, self.store))
         self._state = state
         self._record = self.journal.begin("gc.cycle", state=state)
 
@@ -430,7 +434,7 @@ class IncrementalGC:
                 pending=len(hybrid.candidates),
             )
         if state.rededup_pos >= len(queue):
-            state.gs_set |= forced_containers(hybrid, self.store)
+            _seed_gs(state, forced_containers(hybrid, self.store))
             state.phase = "mark"
 
     # -- mark ----------------------------------------------------------
@@ -438,10 +442,10 @@ class IncrementalGC:
     def _mark_increment(self, state: GCCycleState) -> None:
         """Scan up to ``budget.mark_recipes`` recipes of the cycle snapshot.
 
-        Per-entry kernel (works for both recipe representations) with the
-        stop-the-world probe discipline: one index probe per unique key,
-        memoised across both passes, and the ``gc.mark`` crash point between
-        them — so a drained cycle is read- and probe-identical to
+        Set algebra over each recipe's ``unique_ids()`` with the
+        stop-the-world probe discipline: one index probe per unique key
+        across both passes, and the ``gc.mark`` crash point between them —
+        so a drained cycle is read- and probe-identical to
         :class:`~repro.gc.mark.MarkStage`.
         """
         remaining = self.budget.mark_recipes
@@ -450,11 +454,11 @@ class IncrementalGC:
                 if state.mark_pass == 0:
                     if state.mark_pos >= len(state.deleted_ids):
                         # Deleted pass complete (idempotent on re-entry:
-                        # the RRT skeleton is rebuilt from gs_set).
+                        # the RRT skeleton is rebuilt from the GS set).
                         self.disk.crash_point(
-                            "gc.mark", gs_containers=len(state.gs_set)
+                            "gc.mark", gs_containers=len(state.gs_members)
                         )
-                        state.rrt_sets = {cid: set() for cid in state.gs_set}
+                        state.rrt_sets = {cid: set() for cid in state.gs_members}
                         state.mark_pass = 1
                         state.mark_pos = 0
                         continue
@@ -478,70 +482,51 @@ class IncrementalGC:
         state.mark_seconds += ph.delta.read_seconds
 
     def _scan_deleted(self, state: GCCycleState, recipe) -> None:
-        candidate_keys = state.candidate_keys
-        resolved = state.resolved
-        index_lookup = self.index.lookup
-        for entry in recipe.entries:
-            fp = entry.fp
-            if fp in candidate_keys:
-                continue
-            candidate_keys.add(fp)
-            placement = resolved[fp] = index_lookup(fp)
-            if placement is not None:
-                state.gs_set.add(placement.container_id)
+        fresh = recipe.unique_ids() - state.candidate_ids
+        if fresh:
+            state.candidate_ids |= fresh
+            keys = self.recipes.interner.keys()
+            resolve_placements(self.index, keys, fresh, state.gs_members, create=True)
+            state.resolved |= fresh
 
     def _scan_live(self, state: GCCycleState, recipe) -> None:
-        missing = object()
-        resolved = state.resolved
-        resolved_get = resolved.get
-        index_lookup = self.index.lookup
-        live_keys = state.live_keys
-        rrt_sets = state.rrt_sets
+        ids = recipe.unique_ids()
+        state.live_chunk_ids |= ids
+        fresh = ids - state.resolved
+        if fresh:
+            keys = self.recipes.interner.keys()
+            resolve_placements(self.index, keys, fresh, state.gs_members, create=False)
+            state.resolved |= fresh
         backup_id = recipe.backup_id
-        seen_containers: set[int] = set()
-        for entry in recipe.entries:
-            fp = entry.fp
-            live_keys.add(fp)
-            placement = resolved_get(fp, missing)
-            if placement is missing:
-                placement = resolved[fp] = index_lookup(fp)
-            if placement is None:
-                continue
-            container_id = placement.container_id
-            if container_id in rrt_sets and container_id not in seen_containers:
-                seen_containers.add(container_id)
+        isdisjoint = ids.isdisjoint
+        rrt_sets = state.rrt_sets
+        for container_id, members in state.gs_members.items():
+            if not isdisjoint(members):
                 rrt_sets[container_id].add(backup_id)
 
     def _complete_mark(self, state: GCCycleState) -> None:
+        keys = self.recipes.interner.keys()
         vc_table = make_vc_table(self.config.vc_table, expected_keys=len(self.index))
-        vc_table.update(state.live_keys)
+        vc_table.update(map(keys.__getitem__, state.live_chunk_ids))
         if state.barrier_keys:
             vc_table.update(state.barrier_keys)
             state.barrier_keys.clear()
-        # Columnar services hand the sweep kernels the live-id set: every
-        # snapshot live key maps through the interner (barrier keys are
-        # deliberately left out — they are VC members, and live_ids only
-        # ever needs to be a *subset* of the table's membership).
-        live_ids = None
-        if self.recipes.all_columnar():
-            id_map = self.recipes.interner.id_map()
-            live_ids = frozenset(
-                chunk_id
-                for chunk_id in map(id_map.get, state.live_keys)
-                if chunk_id is not None
-            )
+        # The sweep kernels get the snapshot's live-id set (barrier keys
+        # are deliberately left out — they are VC members, and live_ids
+        # only ever needs to be a *subset* of the table's membership).
         state.mark_result = MarkResult(
             vc_table=vc_table,
-            gs_list=tuple(sorted(state.gs_set)),
+            gs_list=tuple(sorted(state.gs_members)),
             rrt={cid: tuple(sorted(b)) for cid, b in state.rrt_sets.items()},
-            candidate_keys=len(state.candidate_keys),
+            candidate_keys=len(state.candidate_ids),
             mark_seconds=0.0,  # accumulated in state.mark_seconds instead
-            live_ids=live_ids,
+            live_ids=frozenset(state.live_chunk_ids),
         )
-        # The scan working sets are no longer needed; the memo must not
-        # outlive the mark (the sweep mutates placements).
-        state.live_keys = set()
-        state.resolved = {}
+        # The scan working sets are no longer needed; the probe memo must
+        # not outlive the mark (the sweep mutates placements).
+        state.live_chunk_ids = set()
+        state.resolved = set()
+        state.gs_members = {}
         state.phase = "sweep"
         self._prepare_sweep(state)
 
@@ -619,7 +604,6 @@ class IncrementalGC:
             container_ids: list[int] = []
             valid_chunks = []
             valid_ids: list[int] = []
-            columnar = True
             payloads: dict[bytes, bytes] = {}
             owners: set[int] = set()
             reclaims: list[tuple[int, list[bytes], int]] = []
@@ -636,14 +620,11 @@ class IncrementalGC:
                     (container_id, part.invalid_keys, part.invalid_bytes)
                 )
                 owners.update(ctx.mark.rrt.get(container_id, ()))
-                if part.valid_ids is None:
-                    columnar = False
                 if not part.valid:
                     continue
                 container = self.store.read_container(container_id)
                 valid_chunks.extend(part.valid)
-                if part.valid_ids is not None:
-                    valid_ids.extend(part.valid_ids)
+                valid_ids.extend(part.valid_ids)
                 if container.has_payloads():
                     for entry in part.valid:
                         payload = container.payload(entry.fp)
@@ -654,9 +635,7 @@ class IncrementalGC:
                 builds_before = checker.build_ops
                 with ctx.analyze_watch.timed():
                     clusters = analyzer.cluster(
-                        valid_chunks,
-                        involved_backups,
-                        valid_ids=valid_ids if columnar else None,
+                        valid_chunks, involved_backups, valid_ids=valid_ids
                     )
                     order = planner.plan(clusters, involved_backups)
                 ctx.analyze_ops += (
@@ -666,7 +645,7 @@ class IncrementalGC:
                     + order.num_chunks
                 )
                 sequence = order.sequence
-                if columnar and not payloads:
+                if not payloads:
                     placements = ctx.index.placements_map()
                     copy_forward.migrate_batch(
                         sequence,
@@ -792,6 +771,12 @@ class IncrementalGC:
         self._cf = None
         self._gccdf_runners = None
         return report
+
+
+def _seed_gs(state: GCCycleState, container_ids) -> None:
+    """Force containers onto the cycle's GS set (hybrid rededup)."""
+    for container_id in container_ids:
+        state.gs_members.setdefault(container_id, set())
 
 
 def partition_container_ids(

@@ -14,19 +14,18 @@ Mark I/O is charged as metadata reads: one read per recipe, sized at
 ``RECIPE_ENTRY_BYTES`` per entry (a fingerprint plus size/offset fields, the
 on-disk recipe record of container-based systems).
 
-Two kernels implement the traversal.  When the recipe store is
-homogeneously columnar (the default pipeline representation), each recipe's
-id column collapses to a set of dense interned ids and the whole traversal
-becomes C-level set algebra — candidacy, liveness, the unresolved-probe
-frontier and the per-recipe RRT contribution are set unions, differences
-and intersections, with no Python-level work per chunk occurrence.  Legacy
-tuple recipes take the original per-entry kernel.  Both produce identical
-:class:`MarkResult`\\ s and identical index probe statistics.
+Each recipe's id column collapses to a set of dense interned ids and the
+whole traversal becomes C-level set algebra — candidacy, liveness, the
+unresolved-probe frontier and the per-recipe RRT contribution are set
+unions, differences and intersections, with no Python-level work per chunk
+occurrence.  It probes the index once per unique key, as a per-entry
+traversal with a placement memo would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.config import SystemConfig
 from repro.gc.vc_table import VCTable, make_vc_table
@@ -53,13 +52,13 @@ class MarkResult:
     candidate_keys: int
     #: Simulated seconds spent reading recipes.
     mark_seconds: float
-    #: Interned ids of the live key set (columnar marks only).  Always a
-    #: *subset* of the VC table's members at any later time — the table may
-    #: grow via the incremental live-reference barrier — so sweep kernels
-    #: may treat ``id in live_ids`` as a proven VC hit and fall back to
-    #: probing the table itself for the rest (Bloom false positives and
-    #: barrier additions included).  ``None`` on the legacy path.
-    live_ids: frozenset[int] | None = None
+    #: Interned ids of the live key set.  Always a *subset* of the VC
+    #: table's members at any later time — the table may grow via the
+    #: incremental live-reference barrier — so sweep kernels may treat
+    #: ``id in live_ids`` as a proven VC hit and fall back to probing the
+    #: table itself for the rest (Bloom false positives and barrier
+    #: additions included).
+    live_ids: frozenset[int]
 
     def rrt_bytes_estimate(self) -> int:
         """Approximate RRT memory footprint (paper §5.5's sizing argument:
@@ -68,6 +67,36 @@ class MarkResult:
         return sum(
             per_entry_header + 8 * len(backups) for backups in self.rrt.values()
         )
+
+
+def resolve_placements(
+    index: FingerprintIndex,
+    keys: list[bytes],
+    fresh: Iterable[int],
+    gs_members: dict[int, set[int]],
+    create: bool,
+) -> None:
+    """Probe the index once for a frontier of unresolved ids and bucket the
+    placed ones into their GS containers' member sets.
+
+    ``gs_members`` maps GS container id → resolved ids placed in it; its
+    keys are the GS container set.  The deleted-recipe pass (``create``)
+    adds containers on demand; the live pass only feeds containers already
+    there — live chunks elsewhere are irrelevant to the sweep.  A recipe
+    references a GS container iff its id set intersects the container's
+    member set, which ``isdisjoint`` answers at C speed with early exit —
+    so RRT incidence costs per *container*, not per chunk occurrence.
+    """
+    fresh_ids = list(fresh)
+    placements = index.lookup_many(list(map(keys.__getitem__, fresh_ids)))
+    for chunk_id, placement in zip(fresh_ids, placements):
+        if placement is not None:
+            members = gs_members.get(placement.container_id)
+            if members is None:
+                if not create:
+                    continue
+                members = gs_members[placement.container_id] = set()
+            members.add(chunk_id)
 
 
 class MarkStage:
@@ -93,18 +122,7 @@ class MarkStage:
         self.extra_gs = frozenset(extra_gs)
 
     def run(self) -> MarkResult:
-        if self.recipes.all_columnar():
-            return self._run_columnar()
-        return self._run_legacy()
-
-    # ------------------------------------------------------------------
-    # Columnar kernel: array sweeps over the dense chunk-id space
-    # ------------------------------------------------------------------
-
-    def _run_columnar(self) -> MarkResult:
-        interner = self.recipes.interner
-        keys = interner.keys()
-        index_lookup_many = self.index.lookup_many
+        keys = self.recipes.interner.keys()
         # Dense-id bookkeeping, manipulated almost entirely through C-level
         # set operations: per recipe the id column collapses to a set once
         # (``set(array)`` iterates in C); candidacy, liveness, the
@@ -112,35 +130,13 @@ class MarkStage:
         # whole *populations*, not per recipe.  Each pass unions its
         # recipes' id sets, subtracts what is already resolved, and probes
         # the index once for the whole frontier — the same once-per-unique-
-        # key probe count (and counter accounting) as the legacy memo, just
+        # key probe count (and counter accounting) as a per-entry memo, just
         # in dense-id order instead of first-occurrence order.  Batching is
         # unobservable: the index is read-only during mark, and the RRT is
         # order-independent (a recipe references a GS container iff any of
         # its chunks is *placed* there, a pure function of the frozen index
-        # state — the legacy kernel's per-entry adds compute exactly that).
-        #: GS container id → resolved chunk ids placed in it.  A recipe
-        #: references a GS container iff its id set intersects the
-        #: container's member set, which ``isdisjoint`` answers at C speed
-        #: with early exit — so RRT incidence costs per *container*, not
-        #: per chunk occurrence.
+        # state).
         gs_members: dict[int, set[int]] = {cid: set() for cid in self.extra_gs}
-
-        def resolve(fresh: "set[int]", create: bool) -> None:
-            """Probe the index for a frontier of ids; bucket the placed ones
-            into their containers' member sets.  Pass 1 creates member sets
-            on demand (``gs_members`` doubles as the GS container set);
-            pass 2 only feeds containers already on the GS list — live
-            chunks elsewhere are irrelevant to the sweep."""
-            fresh_ids = list(fresh)
-            placements = index_lookup_many(list(map(keys.__getitem__, fresh_ids)))
-            for chunk_id, placement in zip(fresh_ids, placements):
-                if placement is not None:
-                    members = gs_members.get(placement.container_id)
-                    if members is None:
-                        if not create:
-                            continue
-                        members = gs_members[placement.container_id] = set()
-                    members.add(chunk_id)
 
         with self.disk.phase("gc.mark") as ph:
             # Pass 1 — deleted recipes: find containers that may hold garbage.
@@ -149,7 +145,7 @@ class MarkStage:
                 self.disk.read(recipe.num_chunks * RECIPE_ENTRY_BYTES)
                 deleted_sets.append(recipe.unique_ids())
             candidate_ids: set[int] = set().union(*deleted_sets) if deleted_sets else set()
-            resolve(candidate_ids, create=True)
+            resolve_placements(self.index, keys, candidate_ids, gs_members, create=True)
             gs_set: set[int] = set(gs_members)
 
             # Mark is read-only, so a crash here needs no repair — recovery
@@ -165,7 +161,7 @@ class MarkStage:
             live_ids: set[int] = set().union(*live_sets) if live_sets else set()
             fresh = live_ids - candidate_ids
             if fresh:
-                resolve(fresh, create=False)
+                resolve_placements(self.index, keys, fresh, gs_members, create=False)
             rrt_sets: dict[int, set[int]] = {container_id: set() for container_id in gs_set}
             gs_items = list(gs_members.items())
             for recipe, ids_set in zip(live_recipes, live_sets):
@@ -176,9 +172,8 @@ class MarkStage:
                         rrt_sets[container_id].add(backup_id)
 
             # Populate the VC table from the liveness set: once per unique
-            # live key.  The legacy kernel adds per occurrence, but both VC
-            # implementations (exact set, Bloom) are idempotent under add,
-            # so the resulting table is identical.
+            # live key.  Both VC implementations (exact set, Bloom) are
+            # idempotent under add, so this equals a per-occurrence fill.
             vc_table = make_vc_table(self.config.vc_table, expected_keys=len(self.index))
             vc_table.update(map(keys.__getitem__, live_ids))
 
@@ -194,71 +189,4 @@ class MarkStage:
             candidate_keys=len(candidate_ids),
             mark_seconds=ph.delta.read_seconds,
             live_ids=frozenset(live_ids),
-        )
-
-    # ------------------------------------------------------------------
-    # Legacy kernel: per-entry traversal over tuple recipes
-    # ------------------------------------------------------------------
-
-    def _run_legacy(self) -> MarkResult:
-        # The index is immutable for the duration of one mark run, and
-        # chunks shared across backups recur once per referencing recipe,
-        # so resolved placements are memoised for the whole traversal
-        # (pass 2 would otherwise re-probe the same fingerprint per recipe).
-        # The memo is probed inline via C-level ``dict.get`` with a miss
-        # sentinel: on the dedup-heavy pass-2 hot path that replaces a
-        # Python-level ``index.lookup`` call per entry.
-        missing = object()
-        resolved: dict[bytes, object] = {}
-        resolved_get = resolved.get
-        index_lookup = self.index.lookup
-
-        with self.disk.phase("gc.mark") as ph:
-            # Pass 1 — deleted recipes: find containers that may hold garbage.
-            gs_set: set[int] = set(self.extra_gs)
-            candidate_keys: set[bytes] = set()
-            for recipe in self.recipes.deleted_recipes():
-                self.disk.read(recipe.num_chunks * RECIPE_ENTRY_BYTES)
-                for entry in recipe.entries:
-                    if entry.fp in candidate_keys:
-                        continue
-                    candidate_keys.add(entry.fp)
-                    placement = resolved[entry.fp] = index_lookup(entry.fp)
-                    if placement is not None:
-                        gs_set.add(placement.container_id)
-
-            # Mark is read-only, so a crash here needs no repair — recovery
-            # simply aborts the round and the next GC re-marks from scratch.
-            self.disk.crash_point("gc.mark", gs_containers=len(gs_set))
-
-            # Pass 2 — live recipes: VC table and RRT in a single traversal.
-            vc_table = make_vc_table(self.config.vc_table, expected_keys=len(self.index))
-            rrt_sets: dict[int, set[int]] = {container_id: set() for container_id in gs_set}
-            for recipe in self.recipes.live_recipes():
-                self.disk.read(recipe.num_chunks * RECIPE_ENTRY_BYTES)
-                seen_containers: set[int] = set()
-                for entry in recipe.entries:
-                    fp = entry.fp
-                    vc_table.add(fp)
-                    placement = resolved_get(fp, missing)
-                    if placement is missing:
-                        placement = resolved[fp] = index_lookup(fp)
-                    if placement is None:
-                        continue
-                    container_id = placement.container_id
-                    if container_id in rrt_sets and container_id not in seen_containers:
-                        seen_containers.add(container_id)
-                        rrt_sets[container_id].add(recipe.backup_id)
-
-            ph.annotate(
-                candidate_keys=len(candidate_keys),
-                gs_containers=len(gs_set),
-            )
-
-        return MarkResult(
-            vc_table=vc_table,
-            gs_list=tuple(sorted(gs_set)),
-            rrt={cid: tuple(sorted(backups)) for cid, backups in rrt_sets.items()},
-            candidate_keys=len(candidate_keys),
-            mark_seconds=ph.delta.read_seconds,
         )

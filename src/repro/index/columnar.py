@@ -12,11 +12,11 @@ hundred recipes, so the representation matters twice over:
   resolution) iterate ints from a C buffer and index flat lists, instead of
   dereferencing an attribute pair per chunk.
 
-The legacy :class:`~repro.index.recipe.Recipe` API is preserved as *views*:
-``entries`` is a lazy sequence materialising ``ChunkRef``s on demand (so
-verification, analysis, and the rewriting-policy paths run unchanged), and
-``fingerprints()`` / ``unique_fingerprints()`` resolve through the
-interner's id → key table at C speed.
+A per-chunk view survives for the cold paths: ``entries`` is a lazy
+sequence materialising ``ChunkRef``s on demand (verification and analysis
+walk it); the hot paths — ingest, GC mark, restore and ``pread`` — read the
+id/size columns directly.  ``fingerprints()`` / ``unique_fingerprints()``
+resolve through the interner's id → key table at C speed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class RecipeEntriesView:
     """Sequence view over a columnar recipe, yielding ``ChunkRef``s.
 
     Supports ``len``, iteration, integer indexing, and slicing (a slice
-    returns a tuple, matching the legacy ``tuple[ChunkRef, ...]`` shape).
+    returns a tuple of ``ChunkRef``).
     """
 
     __slots__ = ("_ids", "_sizes", "_keys")
@@ -72,6 +72,7 @@ class ColumnarRecipe:
         "_logical_size",
         "_unique_ids",
         "_starts",
+        "_chunk_keys",
     )
 
     def __init__(
@@ -97,6 +98,7 @@ class ColumnarRecipe:
         self._logical_size: int | None = None
         self._unique_ids: frozenset[int] | None = None
         self._starts: array | None = None
+        self._chunk_keys: list[bytes] | None = None
 
     # ------------------------------------------------------------------
     # Columnar surface (the batched kernels read these directly)
@@ -117,7 +119,7 @@ class ColumnarRecipe:
         return self._sizes
 
     # ------------------------------------------------------------------
-    # Legacy Recipe API, as views
+    # Per-chunk view and derived quantities
     # ------------------------------------------------------------------
 
     @property
@@ -150,6 +152,21 @@ class ColumnarRecipe:
                 offset += size
             self._starts = starts
         return starts
+
+    @property
+    def chunk_keys(self) -> list[bytes]:
+        """Storage keys in stream order (computed once, cached).
+
+        The read serving layer slices ``(offset, length)`` windows of this
+        column next to ``chunk_sizes``; caching it spares every read the
+        per-chunk id → key resolution.
+        """
+        keys = self._chunk_keys
+        if keys is None:
+            keys = self._chunk_keys = list(
+                map(self._interner.keys().__getitem__, self._ids)
+            )
+        return keys
 
     @property
     def num_chunks(self) -> int:

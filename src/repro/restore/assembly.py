@@ -19,12 +19,11 @@ cross-checking the two models agree at the extremes.
 
 from __future__ import annotations
 
-from array import array
-
 from repro.errors import ConfigError
 from repro.index.columnar import ColumnarRecipe
 from repro.index.fingerprint_index import FingerprintIndex
 from repro.index.recipe import RecipeStore
+from repro.restore.engine import container_column
 from repro.restore.report import RestoreReport
 from repro.simio.disk import DiskModel
 from repro.storage.store import ContainerStore
@@ -55,10 +54,7 @@ class AssemblyRestoreEngine:
         container_reads = 0
 
         with self.disk.phase("restore") as ph:
-            if isinstance(recipe, ColumnarRecipe):
-                container_reads = self._restore_columnar(recipe)
-            else:
-                container_reads = self._restore_entries(recipe)
+            container_reads = self._restore_spans(recipe)
             ph.annotate(backup_id=backup_id, containers_read=container_reads)
 
         return RestoreReport(
@@ -71,48 +67,11 @@ class AssemblyRestoreEngine:
             cache_hits=0,
         )
 
-    def _restore_entries(self, recipe) -> int:
-        """Per-entry span walk over a legacy tuple recipe."""
-        container_reads = 0
-        position = 0
-        entries = recipe.entries
-        while position < len(entries):
-            # Build one assembly span: the longest prefix fitting the area.
-            span_bytes = 0
-            end = position
-            while end < len(entries):
-                size = entries[end].size
-                if span_bytes + size > self.assembly_bytes and end > position:
-                    break
-                span_bytes += size
-                end += 1
-
-            # One read per distinct container used within the span.
-            needed: set[int] = set()
-            for entry in entries[position:end]:
-                needed.add(self.index.get(entry.fp).container_id)
-            for container_id in sorted(needed):
-                self.store.read_container(container_id)
-                container_reads += 1
-
-            position = end
-        return container_reads
-
-    def _restore_columnar(self, recipe: ColumnarRecipe) -> int:
-        """Batched span walk: resolve the whole recipe to a container-id
-        column once, then cut spans over the size column.  Span boundaries
-        and the per-span sorted distinct-container reads are identical to
-        the per-entry walk."""
-        keys = recipe.interner.keys()
-        index_get = self.index.get
-        ids = recipe.chunk_ids
-        # Unique ids in first-occurrence order at C speed, resolved once
-        # each; the full column is then one C-level ``map`` over the memo.
-        container_of = dict.fromkeys(ids)
-        for chunk_id in container_of:
-            container_of[chunk_id] = index_get(keys[chunk_id]).container_id
-        column = array("q", map(container_of.__getitem__, ids))
-
+    def _restore_spans(self, recipe: ColumnarRecipe) -> int:
+        """Span walk: resolve the whole recipe to a container-id column
+        once, then cut spans over the size column; each span reads its
+        distinct containers in ascending id order."""
+        column = container_column(self.index, recipe)
         sizes = recipe.chunk_sizes
         num_chunks = len(sizes)
         read_container = self.store.read_container

@@ -14,7 +14,8 @@ the accounting.
 
 from __future__ import annotations
 
-from array import array
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterator
 
 from repro.errors import IntegrityError
@@ -25,6 +26,26 @@ from repro.simio.disk import DiskModel
 from repro.storage.cache import ContainerCache
 from repro.storage.store import ContainerStore
 from repro.restore.report import RestoreReport
+
+
+_CONTAINER_ID = attrgetter("container_id")
+
+
+def container_column(index: FingerprintIndex, recipe: ColumnarRecipe) -> list[int]:
+    """The container id of every chunk of ``recipe``, in stream order.
+
+    Resolution runs as C-level ``map``s over the id column and the index's
+    placement map.  Every chunk resolves before the caller reads a
+    container; an unknown chunk raises
+    :class:`~repro.errors.UnknownChunkError` for its first occurrence.
+    """
+    keys = recipe.interner.keys()
+    placements = list(
+        map(index.placements_map().get, map(keys.__getitem__, recipe.chunk_ids))
+    )
+    if not all(placements):
+        index.get(keys[recipe.chunk_ids[placements.index(None)]])  # raises
+    return list(map(_CONTAINER_ID, placements))
 
 
 class RestoreEngine:
@@ -63,36 +84,47 @@ class RestoreEngine:
     def _run(self, backup_id: int, collect_data: bool) -> tuple[RestoreReport, bytes | None]:
         recipe = self.recipes.get(backup_id)
         cache = ContainerCache(self.store, self.cache_containers)
-        # Accounting-only restores of columnar recipes take the batched
-        # kernel; byte-collecting restores need the per-entry payload walk.
-        if not collect_data and isinstance(recipe, ColumnarRecipe):
-            return self._run_columnar(backup_id, recipe, cache), None
-        pieces: list[bytes] = [] if collect_data else None  # type: ignore[assignment]
+        cache_get = cache.get
 
         with self.disk.phase("restore") as ph:
-            for entry in recipe.entries:
-                placement = self.index.get(entry.fp)
-                container = cache.get(placement.container_id)
-                if collect_data:
-                    payload = container.payload(entry.fp)
-                    if payload is None:
-                        raise IntegrityError(
-                            f"container {container.container_id} holds no payload for a "
-                            f"chunk of backup {backup_id} (trace-level data cannot be "
-                            "restored to bytes)"
-                        )
-                    if len(payload) != entry.size:
-                        raise IntegrityError(
-                            f"payload size mismatch for backup {backup_id}: "
-                            f"expected {entry.size}, got {len(payload)}"
-                        )
-                    pieces.append(payload)
+            column = container_column(self.index, recipe)
+            # One cache fetch per run of consecutive chunks in the same
+            # container: a repeated get of the most recently fetched
+            # container is always a hit that leaves the LRU order
+            # unchanged, so the rest of the run only counts as hits.
+            fetched = [cache_get(container_id) for container_id, _ in groupby(column)]
+            cache.hits += len(column) - len(fetched)
             ph.annotate(
                 backup_id=backup_id,
                 containers_read=cache.misses,
                 cache_hits=cache.hits,
                 logical_bytes=recipe.logical_size,
             )
+
+        data = None
+        if collect_data:
+            # Containers are immutable, so payloads can be read from the
+            # fetched objects after the I/O pass.
+            by_id = {container.container_id: container for container in fetched}
+            keys = recipe.interner.keys()
+            pieces: list[bytes] = []
+            for chunk_id, size, container_id in zip(
+                recipe.chunk_ids, recipe.chunk_sizes, column
+            ):
+                payload = by_id[container_id].payload(keys[chunk_id])
+                if payload is None:
+                    raise IntegrityError(
+                        f"container {container_id} holds no payload for a "
+                        f"chunk of backup {backup_id} (trace-level data cannot be "
+                        "restored to bytes)"
+                    )
+                if len(payload) != size:
+                    raise IntegrityError(
+                        f"payload size mismatch for backup {backup_id}: "
+                        f"expected {size}, got {len(payload)}"
+                    )
+                pieces.append(payload)
+            data = b"".join(pieces)
 
         report = RestoreReport(
             backup_id=backup_id,
@@ -103,48 +135,7 @@ class RestoreEngine:
             read_seconds=ph.delta.read_seconds,
             cache_hits=cache.hits,
         )
-        return report, (b"".join(pieces) if collect_data else None)
-
-    def _run_columnar(
-        self, backup_id: int, recipe: ColumnarRecipe, cache: ContainerCache
-    ) -> RestoreReport:
-        """Batched restore: resolve the whole recipe to a container-id
-        column, then drive the cache over the column.
-
-        Each *unique* chunk resolves through :meth:`FingerprintIndex.get`
-        exactly once (at its first occurrence, preserving the per-entry
-        kernel's error behaviour for unknown chunks); the cache then sees
-        the same container sequence the per-entry loop would produce, so
-        hit/miss counters, simulated reads, and eviction events match.
-        """
-        with self.disk.phase("restore") as ph:
-            keys = recipe.interner.keys()
-            index_get = self.index.get
-            ids = recipe.chunk_ids
-            # ``dict.fromkeys`` collects unique ids in first-occurrence order
-            # at C speed; resolving per unique id preserves the per-entry
-            # kernel's error order for unknown chunks.  The full column is
-            # then one C-level ``map`` over the memo.
-            container_of = dict.fromkeys(ids)
-            for chunk_id in container_of:
-                container_of[chunk_id] = index_get(keys[chunk_id]).container_id
-            cache.read_column(array("q", map(container_of.__getitem__, ids)))
-            ph.annotate(
-                backup_id=backup_id,
-                containers_read=cache.misses,
-                cache_hits=cache.hits,
-                logical_bytes=recipe.logical_size,
-            )
-
-        return RestoreReport(
-            backup_id=backup_id,
-            logical_bytes=recipe.logical_size,
-            num_chunks=recipe.num_chunks,
-            containers_read=cache.misses,
-            container_bytes_read=ph.delta.read_bytes,
-            read_seconds=ph.delta.read_seconds,
-            cache_hits=cache.hits,
-        )
+        return report, data
 
     def restore_all(self, backup_ids: list[int] | None = None) -> Iterator[RestoreReport]:
         """Restore every live backup (or the given ids), oldest first."""

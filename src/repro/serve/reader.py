@@ -29,11 +29,11 @@ construction for every approach.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from repro.errors import IntegrityError
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.recipe import AnyRecipe
+from repro.index.columnar import ColumnarRecipe
 from repro.restore.report import RestoreReport
 from repro.serve.cache import TieredReadCache
 from repro.serve.report import ReadReport
@@ -45,8 +45,13 @@ class ReadStrategy(Protocol):
 
     cache: TieredReadCache
 
-    def read_range(self, entries, collect: bool) -> tuple[int, list[bytes] | None]:
-        """Resolve a window of recipe entries, charging simulated I/O.
+    def read_range(
+        self, fps: Iterable[bytes], sizes: Iterable[int], collect: bool
+    ) -> tuple[int, list[bytes] | None]:
+        """Resolve a window of recipe chunks, charging simulated I/O.
+
+        ``fps`` and ``sizes`` are the window's aligned storage-key and
+        size columns, in stream order (each iterated once).
 
         Returns ``(device_reads, payloads)`` — the number of device
         fetches performed, and the touched chunks' payloads when
@@ -63,20 +68,22 @@ class ContainerReadStrategy:
         self.index = index
         self.cache = cache
 
-    def read_range(self, entries, collect: bool) -> tuple[int, list[bytes] | None]:
+    def read_range(
+        self, fps: Iterable[bytes], sizes: Iterable[int], collect: bool
+    ) -> tuple[int, list[bytes] | None]:
         cache = self.cache
+        get_chunk = cache.get_chunk
         index_get = self.index.get
         misses_before = cache.container_misses
         payloads: list[bytes] | None = [] if collect else None
-        for entry in entries:
-            fp = entry.fp
-            cached = cache.get_chunk(fp)
+        for fp, size in zip(fps, sizes):
+            cached = get_chunk(fp)
             if cached is not None:
                 payload = cached[1]
             else:
                 container = cache.get_container(index_get(fp).container_id)
                 payload = container.payload(fp)
-                cache.put_chunk(fp, entry.size, payload)
+                cache.put_chunk(fp, size, payload)
             if collect:
                 if payload is None:
                     raise IntegrityError(
@@ -103,24 +110,28 @@ class MFDedupReadStrategy:
         self.disk = disk
         self.cache = cache
 
-    def read_range(self, entries, collect: bool) -> tuple[int, list[bytes] | None]:
+    def read_range(
+        self, fps: Iterable[bytes], sizes: Iterable[int], collect: bool
+    ) -> tuple[int, list[bytes] | None]:
         if collect:
             raise IntegrityError(
                 "mfdedup stores no chunk payloads; byte-level reads are unavailable"
             )
         cache = self.cache
+        get_chunk = cache.get_chunk
+        put_chunk = cache.put_chunk
         disk_read = self.disk.read
         reads = 0
         run_bytes = 0
-        for entry in entries:
-            if cache.get_chunk(entry.fp) is not None:
+        for fp, size in zip(fps, sizes):
+            if get_chunk(fp) is not None:
                 if run_bytes:
                     disk_read(run_bytes)
                     reads += 1
                     run_bytes = 0
                 continue
-            run_bytes += entry.size
-            cache.put_chunk(entry.fp, entry.size, None)
+            run_bytes += size
+            put_chunk(fp, size, None)
         if run_bytes:
             disk_read(run_bytes)
             reads += 1
@@ -140,7 +151,7 @@ class BackupReader:
     def __init__(
         self,
         backup_id: int,
-        recipe: AnyRecipe,
+        recipe: ColumnarRecipe,
         strategy: ReadStrategy,
         disk: DiskModel,
         restore: Callable[[], RestoreReport],
@@ -151,6 +162,8 @@ class BackupReader:
         self._disk = disk
         self._restore = restore
         self._starts = recipe.chunk_starts
+        self._keys = recipe.chunk_keys
+        self._sizes = recipe.chunk_sizes
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -221,13 +234,14 @@ class BackupReader:
         starts = self._starts
         first = bisect_right(starts, offset) - 1
         last = bisect_left(starts, end)  # exclusive
-        entries = self._recipe.entries[first:last]
+        fps = self._keys[first:last]
+        sizes = self._sizes[first:last]
 
         cache = self._strategy.cache
         chunk_hits_before = cache.chunk_hits
         container_hits_before = cache.container_hits
         with self._disk.phase("read") as ph:
-            device_reads, payloads = self._strategy.read_range(entries, collect)
+            device_reads, payloads = self._strategy.read_range(fps, sizes, collect)
             ph.annotate(
                 backup_id=self.backup_id,
                 offset=offset,

@@ -67,35 +67,6 @@ class ContainerCache:
                 )
         return container
 
-    def read_column(self, container_ids) -> None:
-        """Drive the cache over a pre-resolved container-id column.
-
-        The columnar restore engine resolves a whole recipe to container
-        ids first, then replays the column here.  Hit/miss accounting, read
-        order, and eviction behaviour are exactly those of calling
-        :meth:`get` per id; the unbounded case (no eviction, no recency
-        bookkeeping) additionally batches the counter updates and skips the
-        per-chunk method call.
-        """
-        if self.capacity is not None:
-            get = self.get
-            for container_id in container_ids:
-                get(container_id)
-            return
-        entries = self._entries
-        entries_get = entries.get
-        read_container = self.store.read_container
-        hits = 0
-        misses = 0
-        for container_id in container_ids:
-            if entries_get(container_id) is None:
-                misses += 1
-                entries[container_id] = read_container(container_id)
-            else:
-                hits += 1
-        self.hits += hits
-        self.misses += misses
-
     def invalidate(self, container_id: int) -> None:
         """Drop a container from the cache (e.g. after GC deletes it)."""
         self._entries.pop(container_id, None)

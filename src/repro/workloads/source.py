@@ -1,8 +1,11 @@
 """The evolving backup source model.
 
 A :class:`MutatingSource` owns a file tree whose files are lists of logical
-chunks ``(identity, version, size)``; a snapshot is the concatenation of all
+chunks ``(identity, version, ref)``; a snapshot is the concatenation of all
 files' chunks in stable tree order (the tar-image model of paper §2.3).
+Each ``ref`` is the chunk's :class:`~repro.model.ChunkRef`, fingerprinted
+once when the chunk is created or its version bumped, so every snapshot
+that carries the chunk shares the one object instead of hashing it again.
 Between snapshots the source mutates per its :class:`MutationProfile`:
 
 * **modify** — a fraction of files receive localized edits.  Each file has a
@@ -73,13 +76,14 @@ class _File:
     """One file: an ordered list of logical chunks plus its edit hotspot."""
 
     file_id: int
-    chunks: list[tuple[int, int, int]] = field(default_factory=list)  # (identity, version, size)
+    #: ``(identity, version, ref)`` per chunk, in file order.
+    chunks: list[tuple[int, int, ChunkRef]] = field(default_factory=list)
     #: Persistent hotspot position as a fraction of the file length.
     hotspot: float = 0.5
 
     @property
     def size(self) -> int:
-        return sum(size for _, _, size in self.chunks)
+        return sum(ref.size for _, _, ref in self.chunks)
 
 
 class MutatingSource:
@@ -116,10 +120,16 @@ class MutatingSource:
     # Construction helpers
     # ------------------------------------------------------------------
 
-    def _new_chunk(self, size: int) -> tuple[int, int, int]:
+    def _chunk(
+        self, identity: int, version: int, size: int
+    ) -> tuple[int, int, ChunkRef]:
+        fp = synthetic_fingerprint(self.name, identity, version)
+        return (identity, version, ChunkRef(fp=fp, size=size))
+
+    def _new_chunk(self, size: int) -> tuple[int, int, ChunkRef]:
         identity = self._next_identity
         self._next_identity += 1
-        return (identity, 0, size)
+        return self._chunk(identity, 0, size)
 
     def _new_file(self, size_hint: int) -> _File:
         file = _File(file_id=self._next_file_id, hotspot=self._rng.random())
@@ -140,14 +150,7 @@ class MutatingSource:
         The first call returns the initial state; successive calls return
         progressively mutated states.
         """
-        refs = tuple(
-            ChunkRef(
-                fp=synthetic_fingerprint(self.name, identity, version),
-                size=size,
-            )
-            for file in self._files
-            for identity, version, size in file.chunks
-        )
+        refs = tuple(ref for file in self._files for _, _, ref in file.chunks)
         self._mutate()
         self.snapshots_taken += 1
         return refs
@@ -193,8 +196,8 @@ class MutatingSource:
         else:
             start = self._rng.randint(0, max_start)
         for position in range(start, min(start + run_length, len(file.chunks))):
-            identity, version, size = file.chunks[position]
-            file.chunks[position] = (identity, version + 1, size)
+            identity, version, ref = file.chunks[position]
+            file.chunks[position] = self._chunk(identity, version + 1, ref.size)
         if self._rng.chance(self.profile.insert_probability):
             insert_at = self._rng.randint(0, len(file.chunks))
             file.chunks.insert(insert_at, self._new_chunk(self._sampler.sample()))

@@ -6,8 +6,10 @@ from repro.config import GCCDFConfig
 from repro.core.analyzer import Analyzer, ReferenceChecker
 from repro.dedup.keys import storage_key
 from repro.hashing.fingerprints import synthetic_fingerprint
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
+
+from tests.reference import cluster_chunks, columnar_recipe
 
 
 def key_ref(i: int, size: int = 100) -> ChunkRef:
@@ -20,9 +22,10 @@ def build_recipes(memberships: dict[int, list[int]]) -> RecipeStore:
     for backup_id in sorted(memberships):
         assert store.new_backup_id() == backup_id
         store.add(
-            Recipe(
-                backup_id=backup_id,
-                entries=tuple(key_ref(i) for i in memberships[backup_id]),
+            columnar_recipe(
+                backup_id,
+                [key_ref(i) for i in memberships[backup_id]],
+                store.interner,
             )
         )
     return store
@@ -69,7 +72,7 @@ class TestAnalyzerClustering:
         )
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
         chunks = [key_ref(i) for i in range(1, 10)]
-        clusters = analyzer.cluster(chunks, (alpha, beta, gamma))
+        clusters = cluster_chunks(analyzer, chunks, (alpha, beta, gamma))
         by_ownership = {c.ownership: sorted(ch.fp for ch in c.chunks) for c in clusters}
         assert by_ownership[(alpha, beta, gamma)] == sorted(key_ref(i).fp for i in (1, 5, 7))
         assert by_ownership[(alpha, beta)] == sorted(key_ref(i).fp for i in (2, 4, 8))
@@ -80,7 +83,7 @@ class TestAnalyzerClustering:
         (reverse checking order + referenced-goes-left)."""
         recipes = build_recipes({0: [1, 2], 1: [2, 3]})
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
-        clusters = analyzer.cluster([key_ref(i) for i in (1, 2, 3)], (0, 1))
+        clusters = cluster_chunks(analyzer, [key_ref(i) for i in (1, 2, 3)], (0, 1))
         # Chunk 2 is owned by both; chunk 3 only by backup 1 (newest);
         # chunk 1 only by backup 0.  Order: {0,1}, {1}, {0}.
         assert [c.ownership for c in clusters] == [(0, 1), (1,), (0,)]
@@ -89,7 +92,7 @@ class TestAnalyzerClustering:
         recipes = build_recipes({0: [1, 3, 5], 1: [2, 3, 6], 2: [1, 2, 3]})
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
         chunks = [key_ref(i) for i in range(1, 7)]
-        clusters = analyzer.cluster(chunks, (0, 1, 2))
+        clusters = cluster_chunks(analyzer, chunks, (0, 1, 2))
         flattened = [ch.fp for c in clusters for ch in c.chunks]
         assert sorted(flattened) == sorted(ch.fp for ch in chunks)
         assert len(flattened) == len(set(flattened))
@@ -97,26 +100,26 @@ class TestAnalyzerClustering:
     def test_same_ownership_same_cluster(self):
         recipes = build_recipes({0: [1, 2, 3, 4], 1: [1, 2]})
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
-        clusters = analyzer.cluster([key_ref(i) for i in range(1, 5)], (0, 1))
+        clusters = cluster_chunks(analyzer, [key_ref(i) for i in range(1, 5)], (0, 1))
         assert len(clusters) == 2  # {0,1} and {0}
 
     def test_empty_input(self):
         recipes = build_recipes({0: [1]})
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
-        assert analyzer.cluster([], (0,)) == []
+        assert cluster_chunks(analyzer, [], (0,)) == []
         assert analyzer.last_leaf_count == 0
 
     def test_no_involved_backups_single_cluster(self):
         recipes = build_recipes({0: [1]})
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
-        clusters = analyzer.cluster([key_ref(7), key_ref(8)], ())
+        clusters = cluster_chunks(analyzer, [key_ref(7), key_ref(8)], ())
         assert len(clusters) == 1
         assert clusters[0].ownership == ()
 
     def test_unreferenced_chunks_form_ownerless_cluster(self):
         recipes = build_recipes({0: [1]})
         analyzer = Analyzer(ReferenceChecker(recipes, exact_config()), exact_config())
-        clusters = analyzer.cluster([key_ref(1), key_ref(99)], (0,))
+        clusters = cluster_chunks(analyzer, [key_ref(1), key_ref(99)], (0,))
         ownerless = [c for c in clusters if c.ownership == ()]
         assert len(ownerless) == 1
         assert ownerless[0].chunks == [key_ref(99)]
@@ -129,7 +132,7 @@ class TestSplitDenial:
         recipes = build_recipes({0: [1], 1: [2]})
         config = exact_config(split_denial_threshold=2)
         analyzer = Analyzer(ReferenceChecker(recipes, config), config)
-        clusters = analyzer.cluster([key_ref(1), key_ref(2)], (0, 1))
+        clusters = cluster_chunks(analyzer, [key_ref(1), key_ref(2)], (0, 1))
         assert len(clusters) == 1
         assert clusters[0].denied
 
@@ -137,7 +140,7 @@ class TestSplitDenial:
         recipes = build_recipes({0: [1], 1: [2]})
         config = exact_config(split_denial_threshold=0)
         analyzer = Analyzer(ReferenceChecker(recipes, config), config)
-        clusters = analyzer.cluster([key_ref(1), key_ref(2)], (0, 1))
+        clusters = cluster_chunks(analyzer, [key_ref(1), key_ref(2)], (0, 1))
         assert len(clusters) == 2
         assert not any(c.denied for c in clusters)
 
@@ -148,7 +151,7 @@ class TestSplitDenial:
         config = exact_config(split_denial_threshold=4)
         analyzer = Analyzer(ReferenceChecker(recipes, config), config)
         chunks = [key_ref(i) for ids in memberships.values() for i in ids]
-        clusters = analyzer.cluster(chunks, tuple(range(6)))
+        clusters = cluster_chunks(analyzer, chunks, tuple(range(6)))
         assert all(c.num_chunks >= 1 for c in clusters)
         total = sum(c.num_chunks for c in clusters)
         assert total == len(chunks)

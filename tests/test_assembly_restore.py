@@ -115,7 +115,8 @@ class TestMemoryEstimates:
         service.ingest(refs("m", range(8, 24)))
         config = GCCDFConfig(exact_reference_check=True, split_denial_threshold=0)
         analyzer = Analyzer(ReferenceChecker(service.recipes, config), config)
-        keys = [e for e in service.recipes.get(0).entries]
-        clusters = analyzer.cluster(list(keys), (0, 1))
+        recipe = service.recipes.get(0)
+        keys = list(recipe.entries)
+        clusters = analyzer.cluster(keys, (0, 1), valid_ids=list(recipe.chunk_ids))
         expected = 80 * len(clusters) + 8 * len(keys)
         assert analyzer.estimated_tree_bytes() == expected

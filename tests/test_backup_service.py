@@ -24,31 +24,31 @@ class TestDedupRatioAccounting:
         service = DedupBackupService(config=tiny_config, dedup_enabled=False)
         for _ in range(3):
             service.ingest(refs("a", range(10)))
-        assert service.dedup_ratio == pytest.approx(1.0)
+        assert service.stats().dedup_ratio == pytest.approx(1.0)
 
     def test_full_duplicates_scale_ratio(self, tiny_config):
         service = DedupBackupService(config=tiny_config)
         for _ in range(4):
             service.ingest(refs("a", range(10)))
-        assert service.dedup_ratio == pytest.approx(4.0)
+        assert service.stats().dedup_ratio == pytest.approx(4.0)
 
     def test_ratio_survives_deletion_and_gc(self, tiny_config):
         """Cumulative accounting: GC does not change the dedup ratio."""
         service = DedupBackupService(config=tiny_config)
         first = service.ingest(refs("a", range(10)))
         service.ingest(refs("a", range(10)))
-        ratio_before = service.dedup_ratio
+        ratio_before = service.stats().dedup_ratio
         service.delete_backup(first.backup_id)
         service.run_gc()
-        assert service.dedup_ratio == pytest.approx(ratio_before)
+        assert service.stats().dedup_ratio == pytest.approx(ratio_before)
 
     def test_empty_service_ratio(self, tiny_config):
-        assert DedupBackupService(config=tiny_config).dedup_ratio == 1.0
+        assert DedupBackupService(config=tiny_config).stats().dedup_ratio == 1.0
 
     def test_physical_bytes_track_store(self, tiny_config):
         service = DedupBackupService(config=tiny_config)
         service.ingest(refs("a", range(10)))
-        assert service.physical_bytes == 10 * 512
+        assert service.stats().physical_bytes == 10 * 512
 
     def test_describe_mentions_name_and_ratio(self, tiny_config):
         service = DedupBackupService(config=tiny_config, name="naive")

@@ -1,21 +1,23 @@
 """Columnar sweep-engine equivalence (the batched GC/copy-forward path).
 
-The columnar sweep kernels — manifest-backed validity partitioning,
+The columnar kernels — manifest-backed validity partitioning,
 ``migrate_batch`` copy-forward runs, ``lookup_many``/``relocate_many`` bulk
-index probes — must leave the system in an *observationally identical*
-end state to the legacy per-chunk loops: same surviving containers with
-the same chunk layout (which pins the reclaim and copy-forward write
-order), same stored bytes, same index contents and probe counters, same
-GC reports and journal traffic.  A property test drives both
-representations through randomized ingest/delete/GC sequences across
-every approach and both GC modes; unit tests pin the container manifest
-(build, incremental maintenance, desync rebuild, rehydration) and the
-bulk index kernels' counter/error parity.
+index probes, set-algebra marks, column-driven restore and reads — must
+leave the system in an *observationally identical* end state to the
+per-chunk reference kernels of ``tests/reference.py``: same surviving
+containers with the same chunk layout (which pins the reclaim and
+copy-forward write order), same stored bytes, same index contents and
+probe counters, same GC, restore and read reports and journal traffic.  A
+property test drives both through randomized ingest/delete/GC sequences
+across every approach, both GC modes and both dedup modes; unit tests pin
+the container manifest (build, incremental maintenance, desync rebuild)
+and the bulk index kernels' counter/error parity.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,7 @@ from repro.model import ChunkRef
 from repro.storage.container import Container
 
 from tests.conftest import refs
+from tests.reference import reference_kernels
 
 
 def make_config() -> SystemConfig:
@@ -49,10 +52,11 @@ def make_config() -> SystemConfig:
 
 
 def snapshot(service) -> dict:
-    """Observable end state of a service, independent of representation."""
+    """Observable end state of a service, independent of the kernels."""
     state: dict = {
         "stats": service.stats(),
         "live_backups": service.live_backup_ids(),
+        "ingests": list(service.ingest_history),
     }
     store = getattr(service, "store", None)
     if store is not None:
@@ -81,7 +85,7 @@ def snapshot(service) -> dict:
         )
     state["gc_reports"] = [
         # analyze_cpu_seconds is measured interpreter wall time — the one
-        # legitimately representation-dependent field.
+        # legitimately kernel-dependent field.
         {
             k: v
             for k, v in report.to_dict().items()
@@ -89,6 +93,15 @@ def snapshot(service) -> dict:
         }
         for report in getattr(getattr(service, "gc", None), "history", [])
     ]
+    # Restore and a mid-stream point read of every live backup (run last:
+    # reads warm the serve cache and charge simulated time).
+    reads = []
+    for backup_id in service.live_backup_ids():
+        restore = service.restore(backup_id)
+        with service.open_backup(backup_id) as reader:
+            window = reader.pread(reader.size // 3, 1500)
+        reads.append((restore, window))
+    state["reads"] = reads
     state["sim_time"] = service.disk.sim_time
     return state
 
@@ -118,24 +131,26 @@ sweep_ops = st.lists(
     ops=sweep_ops,
     approach=st.sampled_from(APPROACHES),
     gc_mode=st.sampled_from(["stw", "incremental"]),
+    dedup_mode=st.sampled_from(["inline", "hybrid"]),
 )
-def test_sweep_end_state_matches_legacy(ops, approach, gc_mode):
+def test_sweep_end_state_matches_legacy(ops, approach, gc_mode, dedup_mode):
     states = {}
-    for columnar in (True, False):
-        service = make_service(
-            approach,
-            config=make_config(),
-            options=ServiceOptions(columnar=columnar, gc_mode=gc_mode),
-        )
-        for op, a, b in ops:
-            if op == "ingest":
-                service.ingest(refs("sweep-prop", range(a, a + b)))
-            elif service.live_backup_ids():
-                service.delete_oldest(a)
-                service.run_gc()
-        states[columnar] = snapshot(service)
+    for reference in (False, True):
+        with reference_kernels() if reference else nullcontext():
+            service = make_service(
+                approach,
+                config=make_config(),
+                options=ServiceOptions(gc_mode=gc_mode, dedup_mode=dedup_mode),
+            )
+            for op, a, b in ops:
+                if op == "ingest":
+                    service.ingest(refs("sweep-prop", range(a, a + b)))
+                elif service.live_backup_ids():
+                    service.delete_oldest(a)
+                    service.run_gc()
+            states[reference] = snapshot(service)
 
-    columnar_state, legacy_state = states[True], states[False]
+    columnar_state, legacy_state = states[False], states[True]
     assert set(columnar_state) == set(legacy_state)
     for key in columnar_state:
         assert columnar_state[key] == legacy_state[key], key
@@ -224,15 +239,13 @@ class TestManifest:
         with pytest.raises(TypeError):
             container.distinct_ids()
 
-    def test_commit_builds_manifest_and_peek_rehydrates(self):
+    def test_commit_builds_manifest(self):
         from repro.simio.disk import DiskModel
         from repro.storage.store import ContainerStore
 
         config = make_config()
-        disk = DiskModel(config.disk)
-        store = ContainerStore(config.container_size, disk)
         interner = FingerprintInterner()
-        store.bind_interner(interner)
+        store = ContainerStore(config.container_size, DiskModel(config.disk), interner)
 
         container = store.allocate()
         chunks = [_ref(i) for i in range(4)]
@@ -244,21 +257,7 @@ class TestManifest:
         assert [interner.key_of(i) for i in sealed.chunk_ids] == [
             ref.fp for ref in chunks
         ]
-
-        # A container sealed before the interner was bound (recovery
-        # rebuilds) gets its manifest lazily on peek.
-        bare_store = ContainerStore(config.container_size, DiskModel(config.disk))
-        bare = bare_store.allocate()
-        for ref in chunks:
-            bare.append(ref)
-        bare_store.commit(bare)
-        assert bare_store.peek(bare.container_id).chunk_ids is None
-        bare_store.bind_interner(interner)
-        rehydrated = bare_store.peek(bare.container_id)
-        assert rehydrated.chunk_ids is not None
-        assert list(rehydrated.chunk_ids) == [
-            interner.id_of(ref.fp) for ref in chunks
-        ]
+        assert list(sealed.chunk_sizes) == [ref.size for ref in chunks]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +319,8 @@ class TestBulkIndexKernels:
 
 
 # ---------------------------------------------------------------------------
-# Batched copy-forward: GC report and probe counters match legacy per-chunk
+# Batched copy-forward: GC report and probe counters match the per-chunk
+# reference kernels
 # ---------------------------------------------------------------------------
 
 
@@ -329,23 +329,24 @@ class TestBulkIndexKernels:
 def test_batched_copy_forward_counter_parity(approach, gc_mode):
     reports = {}
     probes = {}
-    for columnar in (True, False):
-        service = make_service(
-            approach,
-            config=make_config(),
-            options=ServiceOptions(columnar=columnar, gc_mode=gc_mode),
-        )
-        for generation in range(6):
-            service.ingest(refs("cf-parity", range(generation, generation + 12)))
-        service.delete_oldest(2)
-        report = service.run_gc()
-        reports[columnar] = dataclasses.replace(report, analyze_cpu_seconds=0.0)
-        probes[columnar] = (
+    for reference in (False, True):
+        with reference_kernels() if reference else nullcontext():
+            service = make_service(
+                approach,
+                config=make_config(),
+                options=ServiceOptions(gc_mode=gc_mode),
+            )
+            for generation in range(6):
+                service.ingest(refs("cf-parity", range(generation, generation + 12)))
+            service.delete_oldest(2)
+            report = service.run_gc()
+        reports[reference] = dataclasses.replace(report, analyze_cpu_seconds=0.0)
+        probes[reference] = (
             service.index.lookups,
             service.index.hits,
             service.index.guard_probes,
             service.index.guard_skips,
         )
-    assert reports[True] == reports[False]
-    assert probes[True] == probes[False]
-    assert reports[True].reclaimed_containers > 0  # the sweep actually ran
+    assert reports[False] == reports[True]
+    assert probes[False] == probes[True]
+    assert reports[False].reclaimed_containers > 0  # the sweep actually ran

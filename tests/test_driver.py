@@ -61,7 +61,7 @@ class TestProtocolStructure:
 class TestResultAggregates:
     def test_dedup_ratio_copied_from_service(self):
         result, service = run(12)
-        assert result.dedup_ratio == pytest.approx(service.dedup_ratio)
+        assert result.dedup_ratio == pytest.approx(service.stats().dedup_ratio)
 
     def test_mean_read_amplification(self):
         result, _ = run(12)

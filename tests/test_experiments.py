@@ -124,8 +124,18 @@ class TestExperimentRenderers:
 
 
 class TestCLI:
-    def test_single_figure(self, capsys):
-        assert main(["--figure", "table01", "--scale", "quick"]) == 0
+    def test_single_figure(self, capsys, tmp_path):
+        bench = tmp_path / "BENCH_matrix.json"
+        assert (
+            main(
+                [
+                    "--figure", "table01", "--scale", "quick",
+                    "--bench-json", str(bench),
+                ]
+            )
+            == 0
+        )
+        assert bench.exists()
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "completed in" in out

@@ -106,13 +106,13 @@ class TestRewritingPlusGC:
         a = service.ingest(refs("r", range(16)))
         b = service.ingest(refs("r", [0, 1]))  # observes sparse containers
         c = service.ingest(refs("r", [0, 1]))  # rewrites copies
-        stored_with_copies = service.physical_bytes
+        stored_with_copies = service.stats().physical_bytes
         service.delete_backup(a.backup_id)
         service.delete_backup(b.backup_id)
         service.run_gc()
         # Only c remains; it references the *rewritten* copies, so the
         # originals (and a's unique chunks) are gone.
-        assert service.physical_bytes < stored_with_copies
+        assert service.stats().physical_bytes < stored_with_copies
         report = service.restore(c.backup_id)
         assert report.logical_bytes == 2 * 512
         assert_consistent(service)

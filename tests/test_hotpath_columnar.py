@@ -1,15 +1,17 @@
-"""Columnar/tuple hot-path equivalence (the PR-5 representation change).
+"""Columnar hot-path equivalence against the per-chunk reference model.
 
 The columnar engine (interned ids + ``array('q')`` recipe columns + batched
-kernels) must be *observationally identical* to the legacy tuple-of-
-``ChunkRef`` path: same fingerprints in order, same unique sets, same
-logical sizes, and — end to end — the same GC mark results and index probe
-statistics on arbitrary streams.  Property tests drive both representations
-over random inputs; unit tests pin the interner and the Bloom
-negative-lookup guard.
+kernels) must be *observationally identical* to the per-chunk reference in
+``tests/reference.py``: same fingerprints in order, same unique sets, same
+logical sizes as a tuple-of-``ChunkRef`` recipe, and — end to end — the same
+GC mark results and index probe statistics on arbitrary streams.  Property
+tests drive both over random inputs; unit tests pin the interner and the
+Bloom negative-lookup guard.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,14 +25,14 @@ from repro.index.fingerprint_index import (
     FingerprintIndex,
 )
 from repro.index.interning import FingerprintInterner
-from repro.index.recipe import Recipe
 from repro.model import ChunkRef
 
 from tests.conftest import refs
+from tests.reference import TupleRecipe, columnar_recipe, reference_kernels
 
 
 # ---------------------------------------------------------------------------
-# Recipe-level equivalence: ColumnarRecipe vs legacy Recipe over one stream
+# Recipe-level equivalence: ColumnarRecipe vs the tuple recipe over one stream
 # ---------------------------------------------------------------------------
 
 # (chunk id, size) pairs; repeated ids model the duplicate-heavy streams the
@@ -45,21 +47,15 @@ stream_entries = st.lists(
 )
 
 
-def build_pair(entries: list[tuple[int, int]]) -> tuple[Recipe, ColumnarRecipe]:
+def build_pair(
+    entries: list[tuple[int, int]],
+) -> tuple[TupleRecipe, ColumnarRecipe]:
     chunk_refs = tuple(
         ChunkRef(fp=synthetic_fingerprint("hotpath", i), size=size)
         for i, size in entries
     )
-    legacy = Recipe(backup_id=1, entries=chunk_refs, source="prop")
-    interner = FingerprintInterner()
-    columnar = ColumnarRecipe(
-        backup_id=1,
-        interner=interner,
-        chunk_ids=(interner.intern(ref.fp) for ref in chunk_refs),
-        chunk_sizes=(ref.size for ref in chunk_refs),
-        source="prop",
-    )
-    return legacy, columnar
+    legacy = TupleRecipe(backup_id=1, entries=chunk_refs, source="prop")
+    return legacy, columnar_recipe(1, chunk_refs, source="prop")
 
 
 @given(stream_entries)
@@ -100,7 +96,7 @@ def test_entries_view_matches_tuple(entries):
 
 
 # ---------------------------------------------------------------------------
-# End-to-end equivalence: GC mark over both representations
+# End-to-end equivalence: GC mark, shipped kernel vs per-chunk reference
 # ---------------------------------------------------------------------------
 
 mark_ops = st.lists(
@@ -130,23 +126,25 @@ def test_mark_results_match_across_representations(ops, vc_table, deletions):
     services = {}
     marks = {}
     for columnar in (True, False):
-        service = DedupBackupService(config=_mark_config(vc_table), columnar=columnar)
-        for start, length in ops:
-            service.ingest(refs("mark-prop", range(start, start + length)))
-        service.delete_oldest(deletions)
-        stage = MarkStage(
-            config=service.config,
-            index=service.index,
-            recipes=service.recipes,
-            disk=service.disk,
-        )
-        services[columnar] = service
-        marks[columnar] = stage.run()
+        with reference_kernels() if not columnar else nullcontext():
+            service = DedupBackupService(config=_mark_config(vc_table))
+            for start, length in ops:
+                service.ingest(refs("mark-prop", range(start, start + length)))
+            service.delete_oldest(deletions)
+            stage = MarkStage(
+                config=service.config,
+                index=service.index,
+                recipes=service.recipes,
+                disk=service.disk,
+            )
+            services[columnar] = service
+            marks[columnar] = stage.run()
 
     columnar_mark, legacy_mark = marks[True], marks[False]
     assert columnar_mark.gs_list == legacy_mark.gs_list
     assert columnar_mark.rrt == legacy_mark.rrt
     assert columnar_mark.candidate_keys == legacy_mark.candidate_keys
+    assert columnar_mark.live_ids == legacy_mark.live_ids
 
     # Identical probe accounting: the batched kernels make the same number
     # of index probes with the same hit counts as the per-entry loops.

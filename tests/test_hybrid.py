@@ -31,11 +31,12 @@ from repro.faults import FaultPlan, recover_service
 from repro.fleet.topology import FleetConfig
 from repro.gc.incremental import GCBudget
 from repro.index.columnar import ColumnarRecipe
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
 from repro.workloads.datasets import dataset
 
 from tests.conftest import refs
+from tests.reference import columnar_recipe
 
 DATASET = "web"
 
@@ -222,13 +223,14 @@ class TestRededup:
         recipes = RecipeStore()
         dup, canonical, other = b"d" * 24, b"c" * 24, b"o" * 24
         recipes.add(
-            Recipe(
-                backup_id=recipes.new_backup_id(),
-                entries=(
+            columnar_recipe(
+                recipes.new_backup_id(),
+                (
                     ChunkRef(fp=dup, size=10),
                     ChunkRef(fp=other, size=20),
                     ChunkRef(fp=dup, size=30),
                 ),
+                interner=recipes.interner,
                 source="s",
             )
         )
@@ -236,6 +238,7 @@ class TestRededup:
         entries = recipes.get(0).entries
         assert [entry.fp for entry in entries] == [canonical, other, canonical]
         assert [entry.size for entry in entries] == [10, 20, 30]
+        assert recipes.get(0).source == "s"
         # Replays are idempotent: nothing references the dup any more.
         assert repoint_recipe(recipes, 0, dup, canonical) == 0
 

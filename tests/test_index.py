@@ -9,8 +9,11 @@ from repro.errors import (
 )
 from repro.hashing.fingerprints import synthetic_fingerprint
 from repro.index.fingerprint_index import FingerprintIndex
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.columnar import ColumnarRecipe
+from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
+
+from tests.reference import columnar_recipe
 
 
 def fp(i: int) -> bytes:
@@ -75,10 +78,11 @@ class TestFingerprintIndex:
         assert index.unique_bytes == 40
 
 
-def make_recipe(store: RecipeStore, ids, source="src") -> Recipe:
-    recipe = Recipe(
-        backup_id=store.new_backup_id(),
-        entries=tuple(ChunkRef(fp=fp(i), size=100) for i in ids),
+def make_recipe(store: RecipeStore, ids, source="src") -> ColumnarRecipe:
+    recipe = columnar_recipe(
+        store.new_backup_id(),
+        [ChunkRef(fp=fp(i), size=100) for i in ids],
+        store.interner,
         source=source,
     )
     store.add(recipe)
@@ -87,13 +91,13 @@ def make_recipe(store: RecipeStore, ids, source="src") -> Recipe:
 
 class TestRecipe:
     def test_logical_size_and_chunks(self):
-        recipe = Recipe(backup_id=0, entries=tuple(ChunkRef(fp(i), 50) for i in range(4)))
+        recipe = columnar_recipe(0, [ChunkRef(fp(i), 50) for i in range(4)])
         assert recipe.logical_size == 200
         assert recipe.num_chunks == 4
 
     def test_fingerprints_preserve_duplicates(self):
         entries = (ChunkRef(fp(1), 10), ChunkRef(fp(1), 10), ChunkRef(fp(2), 10))
-        recipe = Recipe(backup_id=0, entries=entries)
+        recipe = columnar_recipe(0, entries)
         assert len(list(recipe.fingerprints())) == 3
         assert recipe.unique_fingerprints() == {fp(1), fp(2)}
 

@@ -76,12 +76,12 @@ class TestMFDedupIngest:
         for round_index in range(3):
             service.ingest(refs("a", range(8)))
             service.ingest(refs("b", range(100, 108)))
-        assert service.dedup_ratio == pytest.approx(1.0)
+        assert service.stats().dedup_ratio == pytest.approx(1.0)
 
     def test_single_source_dedup_ratio_high(self, service):
         for _ in range(5):
             service.ingest(refs("m", range(10)))
-        assert service.dedup_ratio == pytest.approx(5.0)
+        assert service.stats().dedup_ratio == pytest.approx(5.0)
 
     def test_migration_volume_tracked(self, service):
         service.ingest(refs("m", range(10)))
@@ -128,12 +128,12 @@ class TestMFDedupLifecycle:
         service.ingest(refs("m", range(8)))
         service.delete_backup(0)
         service.run_gc()
-        assert service.physical_bytes == 0
+        assert service.stats().physical_bytes == 0
 
     def test_accounting_properties(self, service):
         service.ingest(refs("m", range(8)))
         service.ingest(refs("m", range(4, 12)))
-        assert service.cumulative_logical_bytes == 16 * 512
-        assert service.cumulative_stored_bytes == 12 * 512
-        assert service.physical_bytes == 12 * 512
+        assert service.stats().cumulative_logical_bytes == 16 * 512
+        assert service.stats().cumulative_stored_bytes == 12 * 512
+        assert service.stats().physical_bytes == 12 * 512
         assert service.live_backup_ids() == [0, 1]

@@ -226,15 +226,6 @@ class TestServiceStats:
         assert data["dedup_ratio"] == 4.0
         assert data["cumulative_logical_bytes"] == 100
 
-    def test_deprecated_shims_delegate_to_stats(self):
-        service = make_service("naive")
-        service.ingest([])
-        stats = service.stats()
-        assert service.cumulative_logical_bytes == stats.cumulative_logical_bytes
-        assert service.cumulative_stored_bytes == stats.cumulative_stored_bytes
-        assert service.physical_bytes == stats.physical_bytes
-        assert service.dedup_ratio == stats.dedup_ratio
-
     def test_rotation_metrics_is_pure_over_report_round_trip(self):
         result = run_protocol("gccdf", "web", "quick")
         assert result.metrics  # populated by the driver

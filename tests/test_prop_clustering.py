@@ -12,8 +12,10 @@ from repro.core.packing import (
 )
 from repro.dedup.keys import storage_key
 from repro.hashing.fingerprints import synthetic_fingerprint
-from repro.index.recipe import Recipe, RecipeStore
+from repro.index.recipe import RecipeStore
 from repro.model import ChunkRef
+
+from tests.reference import cluster_chunks, columnar_recipe
 
 
 def key_ref(i: int) -> ChunkRef:
@@ -42,15 +44,16 @@ def build(world):
     for backup_id in range(n):
         assert recipes.new_backup_id() == backup_id
         recipes.add(
-            Recipe(
-                backup_id=backup_id,
-                entries=tuple(key_ref(i) for i in sorted(memberships[backup_id])),
+            columnar_recipe(
+                backup_id,
+                [key_ref(i) for i in sorted(memberships[backup_id])],
+                recipes.interner,
             )
         )
     config = GCCDFConfig(exact_reference_check=True, split_denial_threshold=0)
     analyzer = Analyzer(ReferenceChecker(recipes, config), config)
     chunks = [key_ref(i) for i in range(m)]
-    clusters = analyzer.cluster(chunks, tuple(range(n)))
+    clusters = cluster_chunks(analyzer, chunks, tuple(range(n)))
     return n, m, memberships, chunks, clusters
 
 
