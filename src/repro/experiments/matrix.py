@@ -302,14 +302,22 @@ class MatrixSummary:
             ],
         }
 
-    def write_json(self, path: str | os.PathLike = DEFAULT_BENCH_PATH) -> None:
-        """Persist per-cell and total wall-time (the BENCH_matrix.json file)."""
+    def write_json(self, path: str | os.PathLike = DEFAULT_BENCH_PATH) -> bool:
+        """Persist per-cell and total wall-time (the BENCH_matrix.json file).
+
+        A summary without cells (a run of matrix-less figures such as
+        ``table01``) measures nothing, so it never replaces an existing
+        file; returns whether the file was written.
+        """
+        if not self.outcomes and os.path.exists(path):
+            return False
         parent = os.path.dirname(os.fspath(path))
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+        return True
 
 
 def _merged_events(

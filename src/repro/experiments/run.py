@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     except ConfigError as exc:
         parser.error(str(exc))
-    summary.write_json(args.bench_json)
+    bench_written = summary.write_json(args.bench_json)
 
     runs_after_matrix = common.protocol_runs()
     for name in selected:
@@ -155,7 +155,10 @@ def main(argv: list[str] | None = None) -> int:
         "protocol re-runs while rendering (0 means the matrix covered "
         f"every cell): {common.protocol_runs() - runs_after_matrix}"
     )
-    progress(f"wall-times written to {args.bench_json}")
+    if bench_written:
+        progress(f"wall-times written to {args.bench_json}")
+    else:
+        progress(f"no matrix cells ran; {args.bench_json} left as it was")
     return 0
 
 

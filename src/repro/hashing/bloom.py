@@ -10,7 +10,10 @@ Used in two places, both from the paper:
 
 The implementation uses the standard Kirsch–Mitzenmacher double-hashing
 construction: two 64-bit halves of a BLAKE2b digest generate all ``k`` probe
-positions.  Determinism matters here (tests, reproducible experiments), so no
+positions ``(h1 + i*h2) mod m``.  The kernels walk that sequence in small
+ints — start at ``h1 mod m``, advance by ``h2 mod m`` with a conditional
+subtract — which yields the same positions without 64-bit arithmetic per
+probe.  Determinism matters here (tests, reproducible experiments), so no
 randomised salts are involved unless the caller passes one.
 """
 
@@ -22,6 +25,9 @@ from functools import partial
 from typing import Iterable
 
 from repro.errors import ConfigError
+
+#: Mask selecting the digest's low 64-bit half (the second hash).
+_LOW64 = (1 << 64) - 1
 
 
 class BloomFilter:
@@ -81,24 +87,18 @@ class BloomFilter:
         self._hasher = partial(hashlib.blake2b, digest_size=16, salt=effective_salt)
         self.count = 0
 
-    def _probes(self, key: bytes) -> Iterable[int]:
-        digest = self._hasher(key).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1
-        bits = self.num_bits
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % bits
-
     def add(self, key: bytes) -> None:
         """Insert ``key``."""
-        digest = self._hasher(key).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1
+        value = int.from_bytes(self._hasher(key).digest(), "big")
         bits = self.num_bits
+        position = (value >> 64) % bits
+        step = ((value & _LOW64) | 1) % bits
         bit_bytes = self._bits
-        for i in range(self.num_hashes):
-            position = (h1 + i * h2) % bits
+        for _ in range(self.num_hashes):
             bit_bytes[position >> 3] |= 1 << (position & 7)
+            position += step
+            if position >= bits:
+                position -= bits
         self.count += 1
 
     def update(self, keys: Iterable[bytes]) -> None:
@@ -109,25 +109,29 @@ class BloomFilter:
         bit_bytes = self._bits
         inserted = 0
         for key in keys:
-            digest = hasher(key).digest()
-            h1 = int.from_bytes(digest[:8], "big")
-            h2 = int.from_bytes(digest[8:], "big") | 1
-            for i in range(num_hashes):
-                position = (h1 + i * h2) % bits
+            value = int.from_bytes(hasher(key).digest(), "big")
+            position = (value >> 64) % bits
+            step = ((value & _LOW64) | 1) % bits
+            for _ in range(num_hashes):
                 bit_bytes[position >> 3] |= 1 << (position & 7)
+                position += step
+                if position >= bits:
+                    position -= bits
             inserted += 1
         self.count += inserted
 
     def __contains__(self, key: bytes) -> bool:
-        digest = self._hasher(key).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1
+        value = int.from_bytes(self._hasher(key).digest(), "big")
         bits = self.num_bits
+        position = (value >> 64) % bits
+        step = ((value & _LOW64) | 1) % bits
         bit_bytes = self._bits
-        for i in range(self.num_hashes):
-            position = (h1 + i * h2) % bits
+        for _ in range(self.num_hashes):
             if not bit_bytes[position >> 3] & (1 << (position & 7)):
                 return False
+            position += step
+            if position >= bits:
+                position -= bits
         return True
 
     def __len__(self) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator
 
+from repro.hashing.bloom import BloomFilter
 from repro.index.interning import FingerprintInterner
 from repro.model import ChunkRef
 
@@ -73,6 +74,7 @@ class ColumnarRecipe:
         "_unique_ids",
         "_starts",
         "_chunk_keys",
+        "_reference_filter",
     )
 
     def __init__(
@@ -99,6 +101,7 @@ class ColumnarRecipe:
         self._unique_ids: frozenset[int] | None = None
         self._starts: array | None = None
         self._chunk_keys: list[bytes] | None = None
+        self._reference_filter: tuple[float, BloomFilter] | None = None
 
     # ------------------------------------------------------------------
     # Columnar surface (the batched kernels read these directly)
@@ -191,6 +194,28 @@ class ColumnarRecipe:
     def unique_fingerprints(self) -> set[bytes]:
         keys = self._interner.keys()
         return {keys[chunk_id] for chunk_id in self.unique_ids()}
+
+    def reference_filter(self, fp_rate: float) -> BloomFilter:
+        """The recipe's Bloom reference filter (paper §5.3 optimization ①),
+        built on first use and cached for the recipe's lifetime.
+
+        Recipes are immutable — a hybrid repoint builds a new recipe object
+        and a purge drops the old one — so the cached bits never go stale
+        and need no invalidation.  Capacity counts every occurrence, but
+        each distinct key is inserted once: re-inserting a key sets no new
+        bit, so the bits equal a per-occurrence build.  A different
+        ``fp_rate`` rebuilds.
+        """
+        cached = self._reference_filter
+        if cached is None or cached[0] != fp_rate:
+            bloom = BloomFilter(
+                capacity=max(1, len(self._ids)),
+                fp_rate=fp_rate,
+                salt=b"recipe" + self.backup_id.to_bytes(8, "big"),
+            )
+            bloom.update(map(self._interner.keys().__getitem__, self.unique_ids()))
+            cached = self._reference_filter = (fp_rate, bloom)
+        return cached[1]
 
     def __repr__(self) -> str:
         return (

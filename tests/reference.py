@@ -10,6 +10,12 @@ time.  :func:`reference_kernels` installs all of them over the shipped ones
 (``unittest.mock.patch.object``), so an equivalence test runs one scenario
 twice and compares the observable end state.
 
+The Bloom kernel and the Analyzer's recipe reference filters have reference
+forms too: :func:`bloom_add` / :func:`bloom_update` / :func:`bloom_contains`
+compute every probe position as ``(h1 + i*h2) mod m`` on the full 64-bit
+halves, and :func:`reference_filter_build` builds a fresh filter per GC run
+from every recipe occurrence (:func:`per_occurrence_filter`), with no cache.
+
 :class:`TupleRecipe` is the tuple-of-``ChunkRef`` recipe, the reference for
 the recipe-level properties of :class:`~repro.index.columnar.ColumnarRecipe`;
 :func:`columnar_recipe` builds the shipped representation from ``ChunkRef``
@@ -27,6 +33,7 @@ from itertools import repeat
 from typing import Iterable, Iterator
 from unittest import mock
 
+from repro.core.analyzer import ReferenceChecker
 from repro.dedup import pipeline as pipeline_module
 from repro.dedup.rewriting.base import IngestEntry
 from repro.errors import IntegrityError
@@ -34,6 +41,7 @@ from repro.gc import incremental as incremental_module
 from repro.gc import mark as mark_module
 from repro.gc import migration as migration_module
 from repro.gc.vc_table import make_vc_table
+from repro.hashing.bloom import BloomFilter
 from repro.index.columnar import ColumnarRecipe
 from repro.index.interning import FingerprintInterner
 from repro.model import Chunk, ChunkRef
@@ -529,6 +537,61 @@ def read_run(self, offset: int, length: int, collect: bool):
 
 
 # ---------------------------------------------------------------------------
+# Bloom kernel and recipe reference filters
+# ---------------------------------------------------------------------------
+
+
+def bloom_positions(bloom: BloomFilter, key: bytes) -> list[int]:
+    """The ``k`` probe positions of ``key``: Kirsch–Mitzenmacher double
+    hashing over the two 64-bit halves of the salted digest."""
+    digest = bloom._hasher(key).digest()
+    h1 = int.from_bytes(digest[:8], "big")
+    h2 = int.from_bytes(digest[8:], "big") | 1
+    return [(h1 + i * h2) % bloom.num_bits for i in range(bloom.num_hashes)]
+
+
+def bloom_add(self, key: bytes) -> None:
+    for position in bloom_positions(self, key):
+        self._bits[position >> 3] |= 1 << (position & 7)
+    self.count += 1
+
+
+def bloom_update(self, keys: Iterable[bytes]) -> None:
+    for key in keys:
+        bloom_add(self, key)
+
+
+def bloom_contains(self, key: bytes) -> bool:
+    return all(
+        self._bits[position >> 3] & (1 << (position & 7))
+        for position in bloom_positions(self, key)
+    )
+
+
+def per_occurrence_filter(recipe, fp_rate: float) -> BloomFilter:
+    """A recipe's reference filter built from scratch: every occurrence in
+    stream order, through the reference kernel."""
+    bloom = BloomFilter(
+        capacity=max(1, recipe.num_chunks),
+        fp_rate=fp_rate,
+        salt=b"recipe" + recipe.backup_id.to_bytes(8, "big"),
+    )
+    bloom_update(bloom, recipe.fingerprints())
+    return bloom
+
+
+def reference_filter_build(self, backup_id: int):
+    """``ReferenceChecker._build`` without the per-recipe cache: a fresh
+    per-occurrence filter every GC run."""
+    recipe = self.recipes.get(backup_id)
+    self.filters_built += 1
+    self.build_ops += recipe.num_chunks
+    if self.config.exact_reference_check:
+        return recipe.unique_fingerprints().__contains__
+    return per_occurrence_filter(recipe, self.config.bloom_fp_rate).__contains__
+
+
+# ---------------------------------------------------------------------------
 # Installation
 # ---------------------------------------------------------------------------
 
@@ -549,6 +612,10 @@ def reference_kernels():
         (migration_module.JournaledCopyForward, "migrate_batch", migrate_batch),
         (RestoreEngine, "_run", restore_run),
         (BackupReader, "_run", read_run),
+        (BloomFilter, "add", bloom_add),
+        (BloomFilter, "update", bloom_update),
+        (BloomFilter, "__contains__", bloom_contains),
+        (ReferenceChecker, "_build", reference_filter_build),
     ]
     with ExitStack() as stack:
         for owner, name, replacement in patches:

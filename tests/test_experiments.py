@@ -140,6 +140,24 @@ class TestCLI:
         assert "Table 1" in out
         assert "completed in" in out
 
+    def test_cell_less_run_keeps_existing_bench_json(self, capsys, tmp_path):
+        # table01 runs no matrix cells: its empty summary must not replace
+        # an existing wall-time file.
+        bench = tmp_path / "BENCH_matrix.json"
+        bench.write_bytes(b'{"cells_total": 64}\n')
+        before = bench.read_bytes()
+        assert (
+            main(
+                [
+                    "--figure", "table01", "--scale", "quick",
+                    "--bench-json", str(bench),
+                ]
+            )
+            == 0
+        )
+        assert bench.read_bytes() == before
+        assert "left as it was" in capsys.readouterr().err
+
     def test_requires_selection(self):
         with pytest.raises(SystemExit):
             main(["--scale", "quick"])

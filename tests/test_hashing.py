@@ -1,6 +1,7 @@
 """Unit tests for fingerprints and Bloom filters."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
 from repro.hashing.bloom import BloomFilter
@@ -11,6 +12,8 @@ from repro.hashing.fingerprints import (
     short_fp,
     synthetic_fingerprint,
 )
+
+from tests.reference import bloom_add, bloom_contains, bloom_update
 
 
 class TestFingerprints:
@@ -160,3 +163,38 @@ class TestBloomFilter:
         bloom = BloomFilter(capacity=1000, fp_rate=0.01)
         bloom.update(fingerprint(str(i).encode()) for i in range(1000))
         assert 0.0 < bloom.expected_fp_rate() < 0.05
+
+
+class TestBloomKernelMatchesReference:
+    """The shipped kernels walk the double-hashing sequence in small ints;
+    the reference computes ``(h1 + i*h2) mod m`` on the 64-bit halves.
+    Bits, counts and answers — false positives included — must agree."""
+
+    @given(
+        capacity=st.integers(min_value=1, max_value=3000),
+        fp_rate=st.one_of(
+            st.sampled_from([0.001, 0.01]),
+            st.floats(min_value=0.0005, max_value=0.6),
+        ),
+        salt=st.one_of(st.binary(max_size=16), st.binary(min_size=17, max_size=40)),
+        keys=st.lists(st.binary(min_size=1, max_size=24), max_size=60),
+        duplicates=st.integers(min_value=0, max_value=20),
+        split=st.integers(min_value=0, max_value=60),
+        fresh=st.lists(st.binary(min_size=1, max_size=24), max_size=60),
+    )
+    def test_bits_and_answers_match(
+        self, capacity, fp_rate, salt, keys, duplicates, split, fresh
+    ):
+        keys = keys + keys[:duplicates]
+        shipped = BloomFilter(capacity=capacity, fp_rate=fp_rate, salt=salt)
+        reference = BloomFilter(capacity=capacity, fp_rate=fp_rate, salt=salt)
+        # Both insertion entry points: single adds, then one batch.
+        for key in keys[:split]:
+            shipped.add(key)
+            bloom_add(reference, key)
+        shipped.update(keys[split:])
+        bloom_update(reference, keys[split:])
+        assert shipped._bits == reference._bits
+        assert shipped.count == reference.count == len(keys)
+        for key in keys + fresh:
+            assert (key in shipped) == bloom_contains(reference, key)
